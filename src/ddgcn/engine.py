@@ -1,11 +1,14 @@
 """Minimal dense-array numerics with reverse-mode differentiation.
 
-Every value is a float64 NumPy array wrapped in a :class:`Tensor`. Ops
-record a backward closure; calling ``backward()`` on a scalar output walks
-the graph in reverse topological order and accumulates gradients
-additively into every reachable tensor (notably :class:`Parameter`
-leaves). All primitives raise :class:`ShapeError` on operand mismatch and
-:class:`NumericError` if they produce a non-finite value.
+Every value is a float64 NumPy array wrapped in a :class:`Tensor`. An op
+whose operands need a gradient records its parents and a backward closure;
+calling ``backward()`` on a scalar output walks that graph in reverse
+topological order and accumulates gradients additively into the
+:class:`Parameter` leaves. The graph is single-use: the sweep releases each
+node's gradient, closure and parents once they are spent, so afterwards a
+held output keeps only its ``data``. Inside :func:`no_tape` ops record no
+graph at all. All primitives raise :class:`ShapeError` on operand mismatch
+and :class:`NumericError` if they produce a non-finite value.
 
 A central finite-difference oracle (:func:`finite_difference_grad`) is
 provided for checking the recorded adjoints.
@@ -13,6 +16,8 @@ provided for checking the recorded adjoints.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import json
 from typing import Callable, Iterable, Sequence
 
@@ -21,7 +26,7 @@ import numpy as np
 from .errors import NumericError, ShapeError
 
 __all__ = [
-    "Tensor", "Parameter", "add", "sub", "mul", "neg", "scalar_mul",
+    "Tensor", "Parameter", "no_tape", "add", "sub", "mul", "neg", "scalar_mul",
     "matmul", "batched_matmul", "tanh", "relu", "softmax", "layer_norm",
     "mean_pool", "temporal_conv", "gather", "take", "reshape", "transpose",
     "cross_entropy", "zero_grads", "finite_difference_grad", "relative_error",
@@ -29,10 +34,33 @@ __all__ = [
 ]
 
 
-class Tensor:
-    """A float64 array plus the bookkeeping for reverse-mode differentiation."""
+_taping = contextvars.ContextVar("ddgcn_taping", default=True)
 
-    __slots__ = ("data", "grad", "_parents", "_backward")
+
+@contextlib.contextmanager
+def no_tape():
+    """Run ops without recording a graph, for inference: outputs keep only
+    their ``data`` and cannot be differentiated."""
+    token = _taping.set(False)
+    try:
+        yield
+    finally:
+        _taping.reset(token)
+
+
+def _spent(g):
+    raise RuntimeError("backward: this graph was already released by an earlier backward(); "
+                       "run the forward again to differentiate it")
+
+
+class Tensor:
+    """A float64 array plus the bookkeeping for reverse-mode differentiation.
+
+    ``requires_grad`` is True for a :class:`Parameter` and for an op output
+    with such an operand; only those tensors record parents and a closure.
+    """
+
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, _parents=(), _backward=None, _op="tensor"):
         arr = np.asarray(data, dtype=np.float64)
@@ -40,8 +68,9 @@ class Tensor:
             raise NumericError(f"non-finite values produced by {_op}")
         self.data = arr
         self.grad: np.ndarray | None = None
-        self._parents = _parents
-        self._backward = _backward
+        self.requires_grad = _taping.get() and any(p.requires_grad for p in _parents)
+        self._parents = _parents if self.requires_grad else ()
+        self._backward = _backward if self.requires_grad else None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -52,14 +81,26 @@ class Tensor:
         return self.data.ndim
 
     def _accumulate(self, g: np.ndarray) -> None:
+        if not self.requires_grad:
+            return
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            # copy g: add passes one array to both operands, reshape and transpose pass views
+            self.grad = np.empty_like(self.data)
+            np.copyto(self.grad, g)
+        else:
+            self.grad += g
 
     def backward(self) -> None:
-        """Reverse-mode sweep from a scalar output."""
+        """Reverse-mode sweep from a scalar output.
+
+        Each interior node's gradient, closure and parents are released as
+        soon as its closure has run, so a graph can be differentiated once.
+        """
         if self.data.size != 1:
             raise ShapeError("backward requires a scalar output")
+        if not self.requires_grad:
+            raise RuntimeError("backward: the output depends on no Parameter, "
+                               "or was computed inside no_tape()")
         topo: list[Tensor] = []
         visited = {id(self)}
         stack: list[tuple[Tensor, Iterable[Tensor]]] = [(self, iter(self._parents))]
@@ -76,9 +117,11 @@ class Tensor:
                 topo.append(node)
                 stack.pop()
         self._accumulate(np.ones_like(self.data))
-        for node in reversed(topo):
+        while topo:
+            node = topo.pop()
             if node._backward is not None:
                 node._backward(node.grad)
+                node.grad, node._backward, node._parents = None, _spent, ()
 
     def item(self) -> float:
         return float(self.data)
@@ -121,6 +164,7 @@ class Parameter(Tensor):
     def __init__(self, value, name: str):
         super().__init__(value)
         self.name = name
+        self.requires_grad = True
         self.grad = np.zeros_like(self.data)
 
 
@@ -207,8 +251,10 @@ def matmul(a, b) -> Tensor:
         raise ShapeError(f"matmul: inner dimensions differ for {a.data.shape} and {b.data.shape}")
 
     def bw(g):
-        a._accumulate(_unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.data.shape))
-        b._accumulate(_unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.data.shape))
+        if a.requires_grad:
+            a._accumulate(_unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.data.shape))
+        if b.requires_grad:
+            b._accumulate(_unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.data.shape))
 
     return Tensor(np.matmul(a.data, b.data), (a, b), bw, "matmul")
 

@@ -366,7 +366,8 @@ class DDGCNModel:
         return eg.softmax(self.logits(x))
 
     def predict_proba(self, x) -> np.ndarray:
-        return self.forward(x).data
+        with eg.no_tape():
+            return self.forward(x).data
 
     def save(self, path) -> None:
         eg.save_checkpoint(self.parameters(), path)

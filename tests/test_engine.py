@@ -264,6 +264,69 @@ def test_shared_subexpression_fanout():
     npt.assert_allclose(p.grad, 12.0)
 
 
+def test_backward_releases_the_graph():
+    p = Parameter(np.array([2.0]), "p")
+    q = eg.mul(p, p)
+    out = eg.mean_pool(q, axis=0)
+    out.backward()
+    npt.assert_allclose(p.grad, 4.0)
+    for node in (q, out):
+        assert node.grad is None and node._parents == ()
+    npt.assert_array_equal(q.data, [4.0])  # a held output keeps its value
+
+
+def test_second_backward_raises():
+    p = Parameter(np.array([2.0]), "p")
+    q = eg.mul(p, p)
+    out = eg.mean_pool(q, axis=0)
+    out.backward()
+    with pytest.raises(RuntimeError, match="already released"):
+        out.backward()
+    # a new graph through a released node must not yield partial gradients
+    with pytest.raises(RuntimeError, match="already released"):
+        eg.mean_pool(eg.mul(q, p), axis=0).backward()
+
+
+def test_constant_operands_collect_no_gradient():
+    w = Parameter(rng.standard_normal((3, 2)), "w")
+    c = Tensor(rng.standard_normal((4, 3)))
+    k = Tensor(rng.standard_normal(2))
+    r = rng.standard_normal((4, 2))
+    out = weighted_sum(eg.add(eg.matmul(c, w), k), r)
+    assert not c.requires_grad and out.requires_grad
+    out.backward()
+    assert c.grad is None and k.grad is None
+    npt.assert_allclose(w.grad, c.data.T @ r, rtol=1e-12)
+    with pytest.raises(RuntimeError, match="no Parameter"):
+        weighted_sum(c, np.ones((4, 3))).backward()
+
+
+def test_no_tape_records_no_graph():
+    p = Parameter(np.array([2.0]), "p")
+    with eg.no_tape():
+        out = eg.mean_pool(eg.mul(p, p), axis=0)
+        assert Parameter(np.zeros(2), "fresh").requires_grad
+    npt.assert_array_equal(out.data, 4.0)
+    assert not out.requires_grad
+    assert out._parents == () and out._backward is None
+    with pytest.raises(RuntimeError, match="no_tape"):
+        out.backward()
+    assert eg.mul(p, p).requires_grad
+
+
+def test_no_tape_keeps_checks_and_restores_recording_on_error():
+    p = Parameter(np.array([2.0]), "p")
+    with pytest.raises(ShapeError, match="matmul"):
+        with eg.no_tape():
+            eg.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
+    with np.errstate(over="ignore"):
+        with pytest.raises(NumericError, match="scalar_mul"):
+            with eg.no_tape():
+                eg.scalar_mul(Tensor(np.array(1e308)), 1e10)
+    out = eg.mul(p, p)
+    assert out.requires_grad and out._parents == (p, p)
+
+
 def test_forward_determinism():
     def run():
         gen = np.random.default_rng(99)

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -299,6 +301,66 @@ def test_model_checkpoint_round_trip(tmp_path):
     restored = layers.DDGCNModel(config, seed=99)
     restored.load(path)
     npt.assert_array_equal(restored.predict_proba(x), before)
+
+
+def perturbed_model(seed=3):
+    model = layers.DDGCNModel(reduced_config(), seed=seed)
+    for p in model.parameters():  # move off the zero head and alpha
+        p.data = p.data + 0.01 * np.random.default_rng(4).standard_normal(p.data.shape)
+    return model
+
+
+def spy_on_cagc(model, seen):
+    """Record what the first CAGC block returns, through ``seen(out)``."""
+    cagc = model.layers[0].cagc
+    forward = cagc.forward
+
+    def spied(x, activate=True):
+        out = forward(x, activate)
+        seen(out)
+        return out
+    cagc.forward = spied
+
+
+def test_backward_frees_the_tape_of_a_held_loss():
+    model = perturbed_model()
+    refs = []
+    spy_on_cagc(model, lambda out: refs.append(weakref.ref(out.data)))
+    x = np.random.default_rng(5).uniform(-1, 1, (2, 16, 5, 3))
+    logits = model.logits(x)
+    loss = eg.cross_entropy(logits, [1, 2])
+    assert refs[0]() is not None
+    loss.backward()
+    assert refs[0]() is None  # the CAGC activation went with the tape
+    assert logits.data.shape == (2, 4) and np.isfinite(loss.item())
+    assert all(p.grad is not None for p in model.parameters())
+
+
+def test_training_leaves_constant_masks_without_gradient():
+    model = perturbed_model()
+    x = np.random.default_rng(5).uniform(-1, 1, (2, 16, 5, 3))
+    for _ in range(2):
+        eg.cross_entropy(model.logits(x), [1, 2]).backward()
+    for layer in model.layers:
+        assert all(mask.grad is None for mask in layer.cagc.masks)
+
+
+def test_predict_proba_records_no_tape():
+    model = perturbed_model()
+    recorded = []
+    spy_on_cagc(model, lambda out: recorded.append(out._parents))
+    for shape in ((16, 5, 3), (3, 16, 5, 3)):
+        x = np.random.default_rng(5).uniform(-1, 1, shape)
+        npt.assert_array_equal(model.predict_proba(x), model.forward(x).data)
+    # per shape: predict_proba recorded no parents, the taped forward did
+    assert [bool(parents) for parents in recorded] == [False, True, False, True]
+
+
+def test_predict_proba_restores_recording_after_an_error():
+    model = perturbed_model()
+    with pytest.raises(ShapeError):
+        model.predict_proba(np.zeros((16, 6, 3)))
+    assert model.forward(np.zeros((16, 5, 3))).requires_grad
 
 
 # ---------------------------------------------------------------------------
