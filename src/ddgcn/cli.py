@@ -202,6 +202,13 @@ def _load_samples(config: RunConfig) -> list[data_mod.SkeletonSample]:
             raise DataError(f"dataset file not found: {config.data_file}") from exc
     else:
         raise ConfigError("config has no data source (data.file or data.synthetic)")
+    model = config.model
+    for s in raw:
+        if not 0 <= s.label < model.num_classes:
+            raise DataError(f"sample {s.sample_id!r}: label {s.label} out of range for {model.num_classes} classes")
+        if s.frames.shape[2] != model.in_channels:
+            raise DataError(f"sample {s.sample_id!r} has {s.frames.shape[2]} channels, "
+                            f"the model expects {model.in_channels}")
     return [data_mod.preprocess(s, config.target_frames, root_joint=config.topology.root)
             for s in raw]
 

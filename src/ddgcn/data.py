@@ -33,6 +33,8 @@ class SkeletonSample:
         self.frames = np.asarray(self.frames, dtype=np.float64)
         if self.frames.ndim != 3:
             raise DataError(f"sample {self.sample_id!r}: frames must be (T, V, C)")
+        if self.frames.shape[0] == 0:
+            raise DataError(f"sample {self.sample_id!r}: no frames")
         if not np.all(np.isfinite(self.frames)):
             raise DataError(f"sample {self.sample_id!r}: non-finite coordinates")
 

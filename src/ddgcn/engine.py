@@ -22,12 +22,13 @@ import json
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import NumericError, ShapeError
 
 __all__ = [
     "Tensor", "Parameter", "no_tape", "add", "sub", "mul", "neg", "scalar_mul",
-    "matmul", "batched_matmul", "tanh", "relu", "softmax", "layer_norm",
+    "matmul", "tanh", "relu", "softmax", "layer_norm",
     "mean_pool", "temporal_conv", "gather", "take", "reshape", "transpose",
     "cross_entropy", "zero_grads", "finite_difference_grad", "relative_error",
     "grad_check", "save_checkpoint", "load_checkpoint", "assign_checkpoint",
@@ -259,11 +260,6 @@ def matmul(a, b) -> Tensor:
     return Tensor(np.matmul(a.data, b.data), (a, b), bw, "matmul")
 
 
-def batched_matmul(a, b) -> Tensor:
-    """Stacked matrix products; same semantics as :func:`matmul`."""
-    return matmul(a, b)
-
-
 def tanh(a) -> Tensor:
     a = _lift(a)
     out_val = np.tanh(a.data)
@@ -372,30 +368,34 @@ def temporal_conv(x, weight, groups: int, stride: int = 1) -> Tensor:
     pad_total = max((t_out - 1) * stride + kernel - t, 0)
     pad_left = pad_total // 2
     c_out_g = c_out // groups
+    n = b * t_out * v
+    wg = weight.data.reshape(groups, c_out_g, c_in_g * kernel)
 
-    padded = np.zeros((b, t + pad_total, v, c_in), dtype=np.float64)
-    padded[:, pad_left:pad_left + t] = x.data
-    xg = padded.reshape(b, t + pad_total, v, groups, c_in_g)
-    wg = weight.data.reshape(groups, c_out_g, c_in_g, kernel)
+    def columns(data):
+        """(groups, N, C_in/groups * kernel) matrix: row (b, t', v) holds the
+        group's window of the zero-padded input that starts at frame t' * stride."""
+        padded = np.zeros((b, t + pad_total, v, c_in))
+        padded[:, pad_left:pad_left + t] = data
+        windows = sliding_window_view(padded, kernel, axis=1)[:, ::stride]
+        return (windows.reshape(b, t_out, v, groups, c_in_g, kernel)
+                .transpose(3, 0, 1, 2, 4, 5).reshape(groups, n, c_in_g * kernel))
 
-    out_val = np.zeros((b, t_out, v, groups, c_out_g), dtype=np.float64)
-    for k in range(kernel):
-        taps = xg[:, k:k + stride * (t_out - 1) + 1:stride]
-        out_val += np.einsum("btvgi,goi->btvgo", taps, wg[..., k])
-
+    # bw rebuilds the columns from x.data: keeping them, or the padded input,
+    # would hold one more activation-sized array per layer until backward
     def bw(g):
-        go = g.reshape(b, t_out, v, groups, c_out_g)
-        dxg = np.zeros_like(xg)
-        dwg = np.zeros_like(wg)
-        for k in range(kernel):
-            sl = slice(k, k + stride * (t_out - 1) + 1, stride)
-            dwg[..., k] += np.einsum("btvgo,btvgi->goi", go, xg[:, sl])
-            dxg[:, sl] += np.einsum("btvgo,goi->btvgi", go, wg[..., k])
-        dx = dxg.reshape(b, t + pad_total, v, c_in)[:, pad_left:pad_left + t]
-        x._accumulate(dx)
-        weight._accumulate(dwg.reshape(c_out, c_in_g, kernel))
+        go = g.reshape(n, groups, c_out_g).transpose(1, 0, 2)
+        if weight.requires_grad:
+            dw = np.matmul(go.transpose(0, 2, 1), columns(x.data))
+            weight._accumulate(dw.reshape(c_out, c_in_g, kernel))
+        if x.requires_grad:
+            dcols = np.matmul(go, wg).reshape(groups, b, t_out, v, c_in_g, kernel)
+            dpadded = np.zeros((b, t + pad_total, v, groups, c_in_g))
+            for k in range(kernel):
+                dpadded[:, k:k + stride * (t_out - 1) + 1:stride] += dcols[..., k].transpose(1, 2, 3, 0, 4)
+            x._accumulate(dpadded.reshape(b, t + pad_total, v, c_in)[:, pad_left:pad_left + t])
 
-    return Tensor(out_val.reshape(b, t_out, v, c_out), (x, weight), bw, "temporal_conv")
+    out_val = np.matmul(columns(x.data), wg.transpose(0, 2, 1))
+    return Tensor(out_val.transpose(1, 0, 2).reshape(b, t_out, v, c_out), (x, weight), bw, "temporal_conv")
 
 
 def gather(table, index: np.ndarray) -> Tensor:
@@ -417,11 +417,7 @@ def gather(table, index: np.ndarray) -> Tensor:
 
     def bw(g):
         dt = np.zeros_like(table.data)
-        if table.ndim == 1:
-            np.add.at(dt, idx, g)
-        else:
-            for h in range(table.data.shape[0]):
-                np.add.at(dt[h], idx, g[h])
+        np.add.at(dt, (..., idx), g)
         table._accumulate(dt)
 
     return Tensor(out_val, (table,), bw, "gather")

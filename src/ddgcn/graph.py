@@ -121,12 +121,6 @@ def build_adjacency(topology: SkeletonTopology) -> np.ndarray:
     return a
 
 
-def out_degree(topology: SkeletonTopology, joint: int) -> int:
-    if not 0 <= joint < topology.num_joints:
-        raise ConfigError(f"joint {joint} out of range")
-    return int(topology.out_degrees()[joint])
-
-
 def _neighbor_pairs(topology: SkeletonTopology):
     """Yield (root, neighbor) over undirected 1-hop neighborhoods including self."""
     und = topology.undirected_neighbors()

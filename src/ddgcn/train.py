@@ -66,11 +66,6 @@ class Adam:
             p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
-def adam_step(optimizer: Adam, lr: float) -> None:
-    """One update from the gradients currently held by the parameters."""
-    optimizer.step(lr)
-
-
 @dataclass(frozen=True)
 class HistoryRow:
     epoch: int

@@ -106,6 +106,38 @@ def test_malformed_dataset_file(tmp_path):
     assert cli.main(["train", "--config", config]) == cli.EXIT_DATA
 
 
+def file_config(tmp_path, docs, num_classes=3):
+    path = tmp_path / "ds.jsonl"
+    path.write_text("".join(json.dumps(d) + "\n" for d in docs))
+    doc = base_config(tmp_path)
+    doc["data"] = {"file": str(path), "target_frames": 8}
+    doc["model"]["num_classes"] = num_classes
+    return write_config(tmp_path, doc)
+
+
+def clip(sample_id, label=0, channels=3, frames=2):
+    return {"id": sample_id, "label": label, "joints": 5, "channels": channels,
+            "frames": [[[0.1] * channels] * 5] * frames}
+
+
+def test_zero_frame_sample_is_data_error(tmp_path, capsys):
+    config = file_config(tmp_path, [clip("ok"), clip("empty", frames=0)])
+    assert cli.main(["train", "--config", config]) == cli.EXIT_DATA
+    assert "data error" in capsys.readouterr().err
+
+
+def test_label_out_of_range_is_data_error(tmp_path, capsys):
+    config = file_config(tmp_path, [clip("ok"), clip("too-high", label=3)])
+    assert cli.main(["train", "--config", config]) == cli.EXIT_DATA
+    assert "too-high" in capsys.readouterr().err
+
+
+def test_channel_mismatch_is_data_error(tmp_path, capsys):
+    config = file_config(tmp_path, [clip("flat", channels=2)])
+    assert cli.main(["train", "--config", config]) == cli.EXIT_DATA
+    assert "flat" in capsys.readouterr().err
+
+
 def test_train_from_jsonl_file(tmp_path):
     spec = data.SyntheticSpec(num_classes=2, samples_per_class=2, frames=8,
                               topology=graph.get_topology("toy5"), seed=3)

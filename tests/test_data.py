@@ -53,6 +53,11 @@ def test_load_reports_line_numbers(tmp_path):
         data.load_dataset(path2)
 
 
+def test_zero_frame_sample_is_data_error():
+    with pytest.raises(DataError, match="empty-clip"):
+        data.SkeletonSample(frames=np.zeros((0, 2, 3)), label=0, sample_id="empty-clip")
+
+
 def test_save_load_round_trip(tmp_path):
     rng = np.random.default_rng(0)
     samples = [data.SkeletonSample(frames=rng.standard_normal((3, 2, 3)),

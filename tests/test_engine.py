@@ -66,6 +66,35 @@ def test_temporal_conv_stride_shapes():
     assert eg.temporal_conv(x, w, groups=2, stride=3).shape == (1, 3, 2, 4)
 
 
+def temporal_conv_loops(x, w, groups, stride):
+    """The same-padded, strided, grouped convolution of the temporal_conv
+    docstring, written out frame by frame and output channel by channel."""
+    b, t, v, c_in = x.shape
+    c_out, c_in_g, kernel = w.shape
+    c_out_g = c_out // groups
+    t_out = -(-t // stride)
+    pad_left = max((t_out - 1) * stride + kernel - t, 0) // 2
+    out = np.zeros((b, t_out, v, c_out))
+    for j in range(t_out):
+        for k in range(kernel):
+            src = j * stride + k - pad_left
+            if not 0 <= src < t:
+                continue
+            for o in range(c_out):
+                first = (o // c_out_g) * c_in_g
+                out[:, j, :, o] += x[:, src, :, first:first + c_in_g] @ w[o, :, k]
+    return out
+
+
+@pytest.mark.parametrize("kernel,stride,groups,frames",
+                         [(1, 1, 1, 4), (3, 2, 2, 7), (5, 3, 4, 6), (5, 1, 4, 3)])
+def test_temporal_conv_matches_loop_oracle(kernel, stride, groups, frames):
+    x = rng.standard_normal((2, frames, 3, 8))
+    w = rng.standard_normal((8, 8 // groups, kernel))
+    out = eg.temporal_conv(Tensor(x), Tensor(w), groups, stride)
+    npt.assert_allclose(out.data, temporal_conv_loops(x, w, groups, stride), rtol=1e-12, atol=1e-12)
+
+
 def test_matmul_broadcasting():
     a = Tensor(rng.standard_normal((3, 2, 4)))
     b = Tensor(rng.standard_normal((4, 5)))
@@ -118,7 +147,7 @@ def test_grad_batched_matmul():
     a = Parameter(rng.uniform(-1, 1, (2, 3, 4)), "a")
     b = Parameter(rng.uniform(-1, 1, (2, 4, 5)), "b")
     r = rng.standard_normal((2, 3, 5))
-    check_grads(lambda: weighted_sum(eg.batched_matmul(a, b), r), [a, b])
+    check_grads(lambda: weighted_sum(a @ b, r), [a, b])
 
 
 def test_grad_matmul_broadcast_constant():
@@ -180,6 +209,35 @@ def test_grad_temporal_conv_depthwise():
     w = Parameter(rng.uniform(-1, 1, (3, 1, 3)), "w")
     r = rng.standard_normal((1, 5, 2, 3))
     check_grads(lambda: weighted_sum(eg.temporal_conv(x, w, 3, 1), r), [x, w])
+
+
+def test_grad_temporal_conv_pointwise_and_ragged_stride():
+    x = Parameter(rng.uniform(-1, 1, (2, 4, 3, 4)), "x")
+    w = Parameter(rng.uniform(-1, 1, (6, 2, 1)), "w")
+    r = rng.standard_normal((2, 4, 3, 6))
+    check_grads(lambda: weighted_sum(eg.temporal_conv(x, w, 2, 1), r), [x, w])
+    x7 = Parameter(rng.uniform(-1, 1, (1, 7, 2, 6)), "x7")
+    w3 = Parameter(rng.uniform(-1, 1, (6, 2, 3)), "w3")
+    r3 = rng.standard_normal((1, 3, 2, 6))
+    check_grads(lambda: weighted_sum(eg.temporal_conv(x7, w3, 3, 3), r3), [x7, w3])
+
+
+def test_temporal_conv_skips_constant_input_adjoint():
+    class Spy(Tensor):
+        adjoints = 0
+
+        def _accumulate(self, g):
+            Spy.adjoints += 1
+
+    data = rng.standard_normal((2, 5, 3, 4))
+    w = Parameter(rng.standard_normal((4, 2, 3)), "w")
+    r = rng.standard_normal((2, 3, 3, 4))
+    weighted_sum(eg.temporal_conv(Spy(data), w, 2, 2), r).backward()
+    assert Spy.adjoints == 0
+    expected = w.grad.copy()
+    eg.zero_grads([w])
+    weighted_sum(eg.temporal_conv(Parameter(data, "x"), w, 2, 2), r).backward()
+    npt.assert_array_equal(w.grad, expected)
 
 
 def test_grad_gather():

@@ -52,7 +52,7 @@ def test_adam_zero_gradient_is_noop():
     p = Parameter(np.array([1.0, -2.0]), "p")
     opt = train.Adam([p], train.TrainConfig())
     eg.zero_grads([p])
-    train.adam_step(opt, lr=0.1)
+    opt.step(lr=0.1)
     npt.assert_array_equal(p.data, [1.0, -2.0])
     assert opt.step_count == 1
 
