@@ -14,7 +14,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from . import checks, data as data_mod, graph, train as train_mod
@@ -28,10 +28,8 @@ EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
 _TOP_KEYS = {"seed", "topology", "strategy", "stream", "output_dir", "model", "train", "data"}
-_MODEL_KEYS = {"window", "heads", "kernel", "groups", "channels", "strides",
-               "num_classes", "in_channels"}
-_TRAIN_KEYS = {"epochs", "batch_size", "base_lr", "lr_decay", "decay_every",
-               "beta1", "beta2", "eps", "seed"}
+_MODEL_KEYS = {f.name for f in fields(ModelConfig)} - {"topology", "strategy"}
+_TRAIN_KEYS = {f.name for f in fields(train_mod.TrainConfig)}
 _DATA_KEYS = {"file", "synthetic", "target_frames"}
 _SYNTHETIC_KEYS = {"num_classes", "samples_per_class", "frames", "noise_std", "seed", "channels"}
 
@@ -56,6 +54,35 @@ def _reject_unknown(section: dict, allowed: set, where: str) -> None:
     unknown = sorted(set(section) - allowed)
     if unknown:
         raise ConfigError(f"unknown key(s) in {where}: {', '.join(unknown)}")
+
+
+def _section(doc: dict, key: str, allowed: set, where: str) -> dict:
+    section = doc.get(key, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where} section must be an object")
+    _reject_unknown(section, allowed, where)
+    return section
+
+
+_REQUIRED = object()
+
+
+def _ints(value) -> tuple[int, ...]:
+    return tuple(int(v) for v in value)
+
+
+def _read(section: dict, where: str, key: str, kind, default=_REQUIRED):
+    """``section[key]`` converted by ``kind``; ``default`` stands in for an
+    absent key. A missing required key or a value that does not convert is
+    a ConfigError naming the dotted key."""
+    name = f"{where}.{key}" if where else key
+    if key not in section and default is _REQUIRED:
+        raise ConfigError(f"{name} is required")
+    value = section.get(key, default)
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{name}={value!r} is malformed: {exc}") from exc
 
 
 def _parse_override(text: str) -> tuple[list[str], object]:
@@ -97,12 +124,12 @@ def load_run_config(path: str | Path, overrides: list[str] | None = None) -> Run
 
 def parse_run_config(doc: dict) -> RunConfig:
     _reject_unknown(doc, _TOP_KEYS, "config")
-    seed = int(doc.get("seed", 0))
+    seed = _read(doc, "", "seed", int, 0)
     strategy = str(doc.get("strategy", "activity"))
     stream = str(doc.get("stream", "joint"))
     if stream not in STREAMS:
         raise ConfigError(f"stream must be one of {STREAMS}, got {stream!r}")
-    output_dir = Path(doc.get("output_dir", "runs"))
+    output_dir = _read(doc, "", "output_dir", Path, "runs")
 
     topo_spec = doc.get("topology", "ntu25")
     if isinstance(topo_spec, str):
@@ -114,76 +141,49 @@ def parse_run_config(doc: dict) -> RunConfig:
     else:
         raise ConfigError("topology must be a name, a {'file': path} object or an inline document")
 
-    data_section = doc.get("data", {})
-    if not isinstance(data_section, dict):
-        raise ConfigError("data section must be an object")
-    _reject_unknown(data_section, _DATA_KEYS, "data")
+    data_section = _section(doc, "data", _DATA_KEYS, "data")
     synthetic = None
     data_file = None
     if "synthetic" in data_section and "file" in data_section:
         raise ConfigError("data section must name either a file or a synthetic spec, not both")
     if "synthetic" in data_section:
-        syn = data_section["synthetic"]
-        _reject_unknown(syn, _SYNTHETIC_KEYS, "data.synthetic")
-        try:
-            synthetic = data_mod.SyntheticSpec(
-                num_classes=int(syn["num_classes"]),
-                samples_per_class=int(syn["samples_per_class"]),
-                frames=int(syn["frames"]),
-                topology=topology,
-                noise_std=float(syn.get("noise_std", 0.0)),
-                seed=int(syn.get("seed", seed)),
-                channels=int(syn.get("channels", 3)),
-            )
-        except KeyError as exc:
-            raise ConfigError(f"data.synthetic is missing {exc}") from exc
+        syn = _section(data_section, "synthetic", _SYNTHETIC_KEYS, "data.synthetic")
+        where = "data.synthetic"
+        synthetic = data_mod.SyntheticSpec(
+            num_classes=_read(syn, where, "num_classes", int),
+            samples_per_class=_read(syn, where, "samples_per_class", int),
+            frames=_read(syn, where, "frames", int),
+            topology=topology,
+            noise_std=_read(syn, where, "noise_std", float, 0.0),
+            seed=_read(syn, where, "seed", int, seed),
+            channels=_read(syn, where, "channels", int, 3),
+        )
     elif "file" in data_section:
-        data_file = Path(data_section["file"])
+        data_file = _read(data_section, "data", "file", Path)
 
-    model_section = doc.get("model", {})
-    _reject_unknown(model_section, _MODEL_KEYS, "model")
-    window_spec = model_section.get("window", [4, 25])
-    if not (isinstance(window_spec, (list, tuple)) and len(window_spec) == 2):
+    model_section = _section(doc, "model", _MODEL_KEYS, "model")
+    window = model_section.get("window", [4, 25])
+    if not (isinstance(window, (list, tuple)) and len(window) == 2):
         raise ConfigError("model.window must be a [frames, joints] pair")
-    num_classes = model_section.get("num_classes")
-    if num_classes is None:
+    given = {f.name: _read(model_section, "model", f.name,
+                           _ints if f.name in ("channels", "strides") else int)
+             for f in fields(ModelConfig) if f.name in model_section and f.name != "window"}
+    if "num_classes" not in given:
         if synthetic is None:
             raise ConfigError("model.num_classes is required unless synthetic data defines it")
-        num_classes = synthetic.num_classes
-    kwargs = {}
-    if "channels" in model_section:
-        kwargs["channels"] = tuple(int(c) for c in model_section["channels"])
-    if "strides" in model_section:
-        kwargs["strides"] = tuple(int(s) for s in model_section["strides"])
-    model = ModelConfig(
-        topology=topology,
-        num_classes=int(num_classes),
-        strategy=strategy,
-        window=WindowSpec(int(window_spec[0]), int(window_spec[1])),
-        heads=int(model_section.get("heads", 4)),
-        kernel=int(model_section.get("kernel", 5)),
-        groups=int(model_section.get("groups", 4)),
-        in_channels=int(model_section.get("in_channels", 3)),
-        **kwargs,
-    )
+        given["num_classes"] = synthetic.num_classes
+    model = ModelConfig(topology=topology, strategy=strategy,
+                        window=WindowSpec(*_read(model_section, "model", "window", _ints, window)),
+                        **given)
 
-    train_section = doc.get("train", {})
-    _reject_unknown(train_section, _TRAIN_KEYS, "train")
-    defaults = train_mod.TrainConfig()
-    train_config = train_mod.TrainConfig(
-        epochs=int(train_section.get("epochs", defaults.epochs)),
-        batch_size=int(train_section.get("batch_size", defaults.batch_size)),
-        base_lr=float(train_section.get("base_lr", defaults.base_lr)),
-        lr_decay=float(train_section.get("lr_decay", defaults.lr_decay)),
-        decay_every=int(train_section.get("decay_every", defaults.decay_every)),
-        beta1=float(train_section.get("beta1", defaults.beta1)),
-        beta2=float(train_section.get("beta2", defaults.beta2)),
-        eps=float(train_section.get("eps", defaults.eps)),
-        seed=int(train_section.get("seed", seed)),
-    )
+    train_section = _section(doc, "train", _TRAIN_KEYS, "train")
+    train_config = train_mod.TrainConfig(**{
+        f.name: _read(train_section, "train", f.name, type(f.default),
+                      seed if f.name == "seed" else f.default)
+        for f in fields(train_mod.TrainConfig)})
 
     default_target = synthetic.frames if synthetic is not None else 64
-    target_frames = int(data_section.get("target_frames", default_target))
+    target_frames = _read(data_section, "data", "target_frames", int, default_target)
 
     return RunConfig(
         seed=seed, topology=topology, strategy=strategy, stream=stream,

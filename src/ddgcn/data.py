@@ -73,6 +73,8 @@ def load_dataset(path: str | Path, expected_joints: int | None = None) -> list[S
                 frames = np.asarray(doc["frames"], dtype=np.float64)
             except (KeyError, TypeError, ValueError) as exc:
                 raise DataError(f"{path}:{lineno}: malformed sample: {exc}") from exc
+            if frames.shape[:1] == (0,):
+                raise DataError(f"{path}:{lineno}: sample {sample_id!r} has no frames")
             if frames.ndim != 3 or frames.shape[1] != joints or frames.shape[2] != channels:
                 raise DataError(
                     f"{path}:{lineno}: frames shape {frames.shape} does not match "

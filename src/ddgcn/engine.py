@@ -19,6 +19,7 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import json
+import math
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -600,13 +601,18 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
     header = json.loads(raw[:nl].decode("utf-8"))
     if header.get("format") != _CHECKPOINT_FORMAT:
         raise ValueError(f"unrecognized checkpoint format in {path}")
-    data = np.frombuffer(raw[nl + 1:], dtype="<f8")
+    body = raw[nl + 1:]
+    total = sum(math.prod(entry["shape"]) for entry in header["params"])
+    if len(body) != 8 * total:
+        problem = "is truncated" if len(body) < 8 * total else "has trailing bytes"
+        raise ValueError(f"checkpoint {path} {problem}: header lists {total} values, "
+                         f"the data section holds {len(body)} bytes")
+    data = np.frombuffer(body, dtype="<f8")
     out = {}
     for entry in header["params"]:
         shape = tuple(entry["shape"])
-        size = int(np.prod(shape)) if shape else 1
         start = entry["offset"]
-        out[entry["name"]] = data[start:start + size].reshape(shape).astype(np.float64)
+        out[entry["name"]] = data[start:start + math.prod(shape)].reshape(shape).astype(np.float64)
     return out
 
 

@@ -243,12 +243,13 @@ class STSE:
         h = xb
         if layout.padded_frames > t:
             h = eg.take(h, layout.pad_frames, axis=1)
-        flat = eg.reshape(h, (b, layout.padded_frames * v, c))
-        tokens = eg.reshape(eg.take(flat, layout.gather, axis=1),
-                            (b, layout.num_windows, self.spec.tokens, c))
-        mixed = self.attend(tokens)
-        seq = eg.reshape(mixed, (b, layout.padded_frames * v, c))
-        seq = eg.reshape(eg.take(seq, layout.scatter, axis=1), (b, layout.padded_frames, v, c))
+        # window split and merge are views, in the token order of layout.gather
+        m, n = self.spec.frames, self.spec.joints
+        tb, vb = layout.padded_frames // m, v // n
+        grid = eg.transpose(eg.reshape(h, (b, tb, m, vb, n, c)), (0, 1, 3, 2, 4, 5))
+        mixed = self.attend(eg.reshape(grid, (b, layout.num_windows, m * n, c)))
+        mixed = eg.transpose(eg.reshape(mixed, (b, tb, vb, m, n, c)), (0, 1, 3, 2, 4, 5))
+        seq = eg.reshape(mixed, (b, layout.padded_frames, v, c))
         if layout.padded_frames > t:
             seq = eg.take(seq, np.arange(t), axis=1)
         y = eg.temporal_conv(seq, self.gtc_weight, self.groups, self.stride)

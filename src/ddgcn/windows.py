@@ -69,13 +69,8 @@ def split_windows(frames: int, num_joints: int, spec: WindowSpec) -> WindowLayou
     t_blocks = padded // m
     v_blocks = num_joints // n
 
-    order = []
-    for tb in range(t_blocks):
-        for vb in range(v_blocks):
-            for t in range(tb * m, (tb + 1) * m):
-                for v in range(vb * n, (vb + 1) * n):
-                    order.append(t * num_joints + v)
-    gather = np.asarray(order, dtype=np.int64)
+    gather = (np.arange(padded * num_joints, dtype=np.int64)
+              .reshape(t_blocks, m, v_blocks, n).transpose(0, 2, 1, 3).ravel())
     scatter = np.argsort(gather)
     pad_frames = np.concatenate(
         [np.arange(frames, dtype=np.int64),

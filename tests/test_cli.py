@@ -70,6 +70,16 @@ def test_eval_fusion_without_second_checkpoint_is_config_error(tmp_path):
     assert cli.main(["eval", "--config", config, "--checkpoint", joint]) == cli.EXIT_CONFIG
 
 
+def test_eval_truncated_checkpoint_is_data_error(tmp_path, capsys):
+    config = write_config(tmp_path, base_config(tmp_path))
+    assert cli.main(["train", "--config", config, "--set", "train.epochs=1"]) == 0
+    ckpt = tmp_path / "out" / "model_joint.ckpt"
+    ckpt.write_bytes(ckpt.read_bytes()[:-8])
+    capsys.readouterr()
+    assert cli.main(["eval", "--config", config, "--checkpoint", str(ckpt)]) == cli.EXIT_DATA
+    assert "is truncated: header lists" in capsys.readouterr().err
+
+
 def test_missing_config_file(tmp_path):
     assert cli.main(["train", "--config", str(tmp_path / "nope.json")]) == cli.EXIT_CONFIG
 
@@ -160,6 +170,18 @@ def test_set_overrides(tmp_path, capsys):
     assert len(history) == 3  # header + 2 epochs
 
     assert cli.main(["train", "--config", config, "--set", "not-an-override"]) == cli.EXIT_CONFIG
+
+
+@pytest.mark.parametrize("override", [
+    "train.epochs=abc", "model.heads=abc", 'train.base_lr="x"', "model.channels=4",
+    "data.synthetic.frames=abc",
+])
+def test_malformed_value_is_config_error(tmp_path, capsys, override):
+    config = write_config(tmp_path, base_config(tmp_path))
+    assert cli.main(["train", "--config", config, "--set", override]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert override.split("=")[0] in err
 
 
 def test_gradcheck_passes_on_reduced_config(tmp_path, capsys):

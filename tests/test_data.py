@@ -58,6 +58,13 @@ def test_zero_frame_sample_is_data_error():
         data.SkeletonSample(frames=np.zeros((0, 2, 3)), label=0, sample_id="empty-clip")
 
 
+def test_load_reports_empty_frame_list_as_no_frames(tmp_path):
+    path = tmp_path / "empty-frames.jsonl"
+    write_lines(path, [sample_doc(), sample_doc(sample_id="blank", frames=[])])
+    with pytest.raises(DataError, match="no frames"):
+        data.load_dataset(path)
+
+
 def test_save_load_round_trip(tmp_path):
     rng = np.random.default_rng(0)
     samples = [data.SkeletonSample(frames=rng.standard_normal((3, 2, 3)),

@@ -442,3 +442,12 @@ def test_checkpoint_mismatch_errors(tmp_path):
         eg.assign_checkpoint([Parameter(np.zeros((3, 2)), "w")], state)
     with pytest.raises(ValueError):
         eg.save_checkpoint([p, Parameter(np.zeros(1), "w")], tmp_path / "dup.ckpt")
+
+
+@pytest.mark.parametrize("cut", [5, 8])
+def test_truncated_checkpoint_is_reported(tmp_path, cut):
+    path = tmp_path / "c.ckpt"
+    eg.save_checkpoint([Parameter(np.zeros((3, 4)), "w"), Parameter(np.zeros(()), "a")], path)
+    path.write_bytes(path.read_bytes()[:-cut])
+    with pytest.raises(ValueError, match="truncated: header lists 13 values"):
+        eg.load_checkpoint(path)

@@ -5,6 +5,7 @@ import numpy.testing as npt
 import pytest
 
 from ddgcn import engine as eg, graph, layers
+from ddgcn.checks import weighted_sum
 from ddgcn.engine import Tensor
 from ddgcn.errors import ShapeError
 from ddgcn.graph import SkeletonTopology
@@ -225,6 +226,53 @@ def test_stse_pads_then_crops_odd_lengths():
     stse = make_stse()
     x = np.random.default_rng(6).uniform(-1, 1, (5, 5, 8))
     assert stse.forward(x).shape == (5, 5, 8)
+
+
+def multi_block_input(seed=9):
+    """B=2, T=5 (padded to 6), V=6: 2x3 windows give three time blocks by
+    two joint blocks, so the window order is not the grid order."""
+    return np.random.default_rng(seed).uniform(-1, 1, (2, 5, 6, 8))
+
+
+def test_stse_multi_block_gradients():
+    stse = make_stse(spec=WindowSpec(2, 3))
+    stse.bias_tables.data = 0.1 * np.random.default_rng(12).standard_normal(
+        stse.bias_tables.data.shape)
+    x = eg.Parameter(multi_block_input(), "input")
+    r = np.random.default_rng(13).standard_normal(x.shape)
+    params = stse.parameters() + [x]
+    errors = eg.grad_check(lambda: weighted_sum(stse.forward(x), r), params)
+    assert set(errors) == {p.name for p in params}
+    assert max(errors.values()) < 1e-4, errors
+
+
+def test_stse_window_views_equal_gather_and_scatter_paths(monkeypatch):
+    stse = make_stse(spec=WindowSpec(2, 3))
+    x = multi_block_input()
+    layout = split_windows(5, 6, WindowSpec(2, 3))
+    b, padded, v, c = 2, layout.padded_frames, 6, 8
+    mixed = np.random.default_rng(14).standard_normal((b, layout.num_windows, 6, c))
+    seen = {}
+
+    def attend(tokens):
+        seen["tokens"] = tokens.data.copy()
+        return Tensor(mixed)
+
+    conv = eg.temporal_conv
+
+    def capture(seq, *args):
+        seen["merged"] = seq.data.copy()
+        return conv(seq, *args)
+
+    stse.attend = attend
+    monkeypatch.setattr(eg, "temporal_conv", capture)
+    stse.forward(x)
+
+    flat = x[:, layout.pad_frames].reshape(b, padded * v, c)
+    npt.assert_array_equal(seen["tokens"],
+                           flat[:, layout.gather].reshape(b, layout.num_windows, 6, c))
+    merged = mixed.reshape(b, padded * v, c)[:, layout.scatter].reshape(b, padded, v, c)
+    npt.assert_array_equal(seen["merged"], merged[:, :5])
 
 
 # ---------------------------------------------------------------------------
