@@ -343,16 +343,11 @@ def cmd_export_metrics(args) -> int:
         merged.append((Path(src).stem, rows))
     with open(args.out, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
-        if len(merged) == 1:
-            writer.writerow(train_mod.HISTORY_FIELDS)
-            for _, rows in merged:
-                for r in rows:
-                    writer.writerow([r.epoch, repr(r.lr), repr(r.loss), repr(r.accuracy)])
-        else:
-            writer.writerow(train_mod.HISTORY_FIELDS + ("source",))
-            for source, rows in merged:
-                for r in rows:
-                    writer.writerow([r.epoch, repr(r.lr), repr(r.loss), repr(r.accuracy), source])
+        tagged = len(merged) > 1  # a merge says which file each row came from
+        writer.writerow(train_mod.HISTORY_FIELDS + (("source",) if tagged else ()))
+        for source, rows in merged:
+            for r in rows:
+                writer.writerow(train_mod.history_cells(r) + ([source] if tagged else []))
     print(f"wrote {args.out}")
     return EXIT_OK
 

@@ -574,10 +574,11 @@ def grad_check(f: Callable[[], Tensor], params: Sequence[Parameter], h: float = 
 _CHECKPOINT_FORMAT = "flat-f8-le"
 
 
-def save_checkpoint(params: Iterable[Parameter], path) -> None:
+def save_checkpoint(params: Iterable[Parameter], path, config: dict | None = None) -> None:
     """Write parameters as a one-line JSON header plus raw little-endian
     float64 blocks. Offsets are in elements from the start of the data
-    section."""
+    section. ``config``, a JSON-ready dict describing the model, is kept in
+    the header for ``load_checkpoint`` to check."""
     params = list(params)
     names = [p.name for p in params]
     if len(set(names)) != len(names):
@@ -587,20 +588,33 @@ def save_checkpoint(params: Iterable[Parameter], path) -> None:
     for p in params:
         entries.append({"name": p.name, "shape": list(p.data.shape), "offset": offset})
         offset += int(p.data.size)
-    header = json.dumps({"format": _CHECKPOINT_FORMAT, "params": entries})
+    doc = {"format": _CHECKPOINT_FORMAT, "params": entries}
+    if config is not None:
+        doc["config"] = config
     with open(path, "wb") as handle:
-        handle.write(header.encode("utf-8") + b"\n")
+        handle.write(json.dumps(doc).encode("utf-8") + b"\n")
         for p in params:
             handle.write(np.ascontiguousarray(p.data, dtype="<f8").tobytes())
 
 
-def load_checkpoint(path) -> dict[str, np.ndarray]:
+def load_checkpoint(path, config: dict | None = None) -> dict[str, np.ndarray]:
+    """Read a checkpoint's arrays by parameter name. With ``config``, each
+    of its keys must hold the same value in the header's config, or a
+    ValueError names the first key that differs."""
     with open(path, "rb") as handle:
         raw = handle.read()
     nl = raw.index(b"\n")
     header = json.loads(raw[:nl].decode("utf-8"))
     if header.get("format") != _CHECKPOINT_FORMAT:
         raise ValueError(f"unrecognized checkpoint format in {path}")
+    if config is not None:
+        saved = header.get("config")
+        if saved is None:
+            raise ValueError(f"checkpoint {path} records no model config")
+        for key, value in config.items():
+            if saved.get(key) != value:
+                raise ValueError(f"model config differs in {key}: checkpoint {path} has "
+                                 f"{saved.get(key)!r}, the model has {value!r}")
     body = raw[nl + 1:]
     total = sum(math.prod(entry["shape"]) for entry in header["params"])
     if len(body) != 8 * total:

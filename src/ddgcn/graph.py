@@ -208,13 +208,13 @@ def normalize_adjacency(a_k: np.ndarray) -> np.ndarray:
     return inv_sqrt[:, None] * a_k * inv_sqrt[None, :]
 
 
-def masked_normalized_adjacency(topology: SkeletonTopology, labeling: PartitionLabeling) -> list[np.ndarray]:
-    """Per-subset normalized adjacency stack used by the graph convolution."""
+def masked_normalized_adjacency(topology: SkeletonTopology, labeling: PartitionLabeling) -> np.ndarray:
+    """Per-subset normalized adjacency stack (K, V, V) used by the graph convolution."""
     a = build_adjacency(topology)
-    return [
+    return np.stack([
         normalize_adjacency(partition_adjacency(a, labeling, k))
         for k in range(labeling.num_subsets)
-    ]
+    ])
 
 
 # ---------------------------------------------------------------------------

@@ -53,7 +53,8 @@ class CAGC:
     """Channel-wise adaptive graph convolution.
 
     Each partition subset k masks A + I, is symmetrically degree-normalized
-    and mixes channels with its own kernel. The correlation term alpha * A'
+    and mixes channels with its own kernel ``weight[k]``; all K subsets run
+    as one contraction over (subset, neighbor). The correlation term alpha * A'
     (one V x V map per output channel, from pairwise differences of
     temporally pooled joint features) is added, unnormalized and unmasked,
     to the first subset's branch; alpha starts at 0 so the initial layer is
@@ -64,20 +65,18 @@ class CAGC:
                  labeling: PartitionLabeling, rng: np.random.Generator, name: str = "cagc"):
         self.in_channels = in_channels
         self.out_channels = out_channels
-        self.num_joints = topology.num_joints
-        self.masks = [Tensor(m) for m in masked_normalized_adjacency(topology, labeling)]
+        self.num_joints = v = topology.num_joints
+        stack = masked_normalized_adjacency(topology, labeling)  # (K, V, V)
+        self.masks = Tensor(stack.transpose(1, 0, 2).reshape(-1, v))  # row i*K+k: row i of subset k
         width = correlation_width(out_channels)
-        self.weights = [
-            Parameter(_uniform(rng, (in_channels, out_channels), in_channels), f"{name}.w{k}")
-            for k in range(labeling.num_subsets)
-        ]
+        self.weight = Parameter(_uniform(rng, (len(stack), in_channels, out_channels), in_channels), f"{name}.weight")
         self.alpha = Parameter(0.0, f"{name}.alpha")
         self.theta = Parameter(_uniform(rng, (in_channels, width), in_channels), f"{name}.theta")
         self.phi = Parameter(_uniform(rng, (in_channels, width), in_channels), f"{name}.phi")
         self.xi = Parameter(_uniform(rng, (width, out_channels), width), f"{name}.xi")
 
     def parameters(self) -> list[Parameter]:
-        return [*self.weights, self.alpha, self.theta, self.phi, self.xi]
+        return [self.weight, self.alpha, self.theta, self.phi, self.xi]
 
     def correlation(self, x) -> Tensor:
         """Pairwise channel correlations A'.
@@ -88,10 +87,9 @@ class CAGC:
         """
         xb, squeeze = _as_batch(x)
         b, _, v, _ = xb.shape
-        width = self.theta.shape[1]
         xbar = eg.mean_pool(xb, axis=1)
-        left = eg.reshape(xbar @ self.theta, (b, v, 1, width))
-        right = eg.reshape(xbar @ self.phi, (b, 1, v, width))
+        left = eg.reshape(xbar @ self.theta, (b, v, 1, -1))
+        right = eg.reshape(xbar @ self.phi, (b, 1, v, -1))
         corr = eg.tanh(left - right) @ self.xi
         corr = eg.transpose(corr, (0, 3, 1, 2))
         return eg.reshape(corr, corr.shape[1:]) if squeeze else corr
@@ -102,24 +100,17 @@ class CAGC:
         if xb.shape[2] != self.num_joints or xb.shape[3] != self.in_channels:
             raise ShapeError(
                 f"cagc: expected {self.num_joints} joints x {self.in_channels} channels, got {xb.shape}")
-        total = None
-        first_mixed = None
-        for k, mask in enumerate(self.masks):
-            mixed = xb @ self.weights[k]
-            if k == 0:
-                first_mixed = mixed
-            branch = mask @ mixed
-            total = branch if total is None else total + branch
-        corr = self.correlation(xb)
-        per_channel = eg.transpose(first_mixed, (0, 3, 2, 1))
-        adaptive = eg.transpose(corr @ per_channel, (0, 3, 2, 1))
-        total = total + self.alpha * adaptive
+        agg = eg.reshape(self.masks @ xb, xb.shape[:3] + (-1,))  # (B, T, V, K*C_in)
+        total = agg @ eg.reshape(self.weight, (-1, self.out_channels))
+        # subset 0's kernel is taken from the weight: a take of an activation scatters in backward
+        per_channel = eg.transpose(xb @ eg.take(self.weight, [0], axis=0), (0, 3, 2, 1))
+        total = total + self.alpha * eg.transpose(self.correlation(xb) @ per_channel, (0, 3, 2, 1))
         out = eg.relu(total) if activate else total
         return eg.reshape(out, out.shape[1:]) if squeeze else out
 
 
 def sgc_reference(x: np.ndarray, topology: SkeletonTopology, labeling: PartitionLabeling,
-                  weights: list[np.ndarray], normalization: str = "symmetric") -> np.ndarray:
+                  weights: np.ndarray, normalization: str = "symmetric") -> np.ndarray:
     """Per-vertex spatial graph convolution, written as explicit loops.
 
     This is the oracle path for the vectorized CAGC: each root gathers its
@@ -318,6 +309,14 @@ class ModelConfig:
             if s < 1:
                 raise ConfigError("strides must be >= 1")
 
+    def describe(self) -> dict:
+        """The config as JSON values; checkpoints carry it and are checked against it."""
+        return {"edges": [list(edge) for edge in self.topology.edges], "root": self.topology.root,
+                "strategy": self.strategy, "channels": list(self.channels),
+                "strides": list(self.strides), "window": [self.window.frames, self.window.joints],
+                "heads": self.heads, "kernel": self.kernel, "groups": self.groups,
+                "in_channels": self.in_channels, "num_classes": self.num_classes}
+
 
 class DDGCNModel:
     """Stacked CAGC + STSE layers with global pooling and a softmax head."""
@@ -371,10 +370,10 @@ class DDGCNModel:
             return self.forward(x).data
 
     def save(self, path) -> None:
-        eg.save_checkpoint(self.parameters(), path)
+        eg.save_checkpoint(self.parameters(), path, self.config.describe())
 
     def load(self, path) -> None:
-        eg.assign_checkpoint(self.parameters(), eg.load_checkpoint(path))
+        eg.assign_checkpoint(self.parameters(), eg.load_checkpoint(path, self.config.describe()))
 
 
 def bone_transform(frames: np.ndarray, topology: SkeletonTopology) -> np.ndarray:

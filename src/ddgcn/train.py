@@ -154,12 +154,18 @@ def evaluate_fused(model_joint: DDGCNModel, model_bone: DDGCNModel,
 HISTORY_FIELDS = ("epoch", "lr", "loss", "accuracy")
 
 
+def history_cells(row: HistoryRow) -> list:
+    """One CSV row in HISTORY_FIELDS order; floats are written by repr, so
+    they read back exactly."""
+    return [row.epoch, repr(row.lr), repr(row.loss), repr(row.accuracy)]
+
+
 def write_history_csv(history: list[HistoryRow], path: str | Path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(HISTORY_FIELDS)
         for row in history:
-            writer.writerow([row.epoch, repr(row.lr), repr(row.loss), repr(row.accuracy)])
+            writer.writerow(history_cells(row))
 
 
 def read_history_csv(path: str | Path) -> list[HistoryRow]:

@@ -88,7 +88,7 @@ def test_criterion_1_oracle_equivalence():
                 x = rng.uniform(-1.0, 1.0, (3, topo.num_joints, 3))
                 pre = cagc.forward(x, activate=False).data
                 ref = layers.sgc_reference(x, topo, labeling,
-                                           [w.data for w in cagc.weights], "symmetric")
+                                           cagc.weight.data, "symmetric")
                 worst = max(worst, float(np.abs(pre - ref).max()))
     elapsed = time.perf_counter() - start
     report(1, "oracle equivalence", worst <= 1e-10 and elapsed < 10.0,

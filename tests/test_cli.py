@@ -80,6 +80,28 @@ def test_eval_truncated_checkpoint_is_data_error(tmp_path, capsys):
     assert "is truncated: header lists" in capsys.readouterr().err
 
 
+def test_train_checkpoint_is_byte_deterministic(tmp_path):
+    config = write_config(tmp_path, base_config(tmp_path))
+    assert cli.main(["train", "--config", config, "--set", "train.epochs=1"]) == 0
+    first = (tmp_path / "out" / "model_joint.ckpt").read_bytes()
+    assert cli.main(["train", "--config", config, "--set", "train.epochs=1"]) == 0
+    assert (tmp_path / "out" / "model_joint.ckpt").read_bytes() == first
+
+
+@pytest.mark.parametrize("override, key", [
+    ("strategy=spatial", "strategy"),
+    ("model.strides=[1,2]", "strides"),
+])
+def test_eval_checkpoint_of_another_config_is_data_error(tmp_path, capsys, override, key):
+    # same parameter shapes, so only the config in the header tells them apart
+    config = write_config(tmp_path, base_config(tmp_path))
+    assert cli.main(["train", "--config", config, "--set", "train.epochs=1"]) == 0
+    ckpt = str(tmp_path / "out" / "model_joint.ckpt")
+    capsys.readouterr()
+    assert cli.main(["eval", "--config", config, "--set", override, "--checkpoint", ckpt]) == cli.EXIT_DATA
+    assert f"model config differs in {key}" in capsys.readouterr().err
+
+
 def test_missing_config_file(tmp_path):
     assert cli.main(["train", "--config", str(tmp_path / "nope.json")]) == cli.EXIT_CONFIG
 

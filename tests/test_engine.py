@@ -444,6 +444,19 @@ def test_checkpoint_mismatch_errors(tmp_path):
         eg.save_checkpoint([p, Parameter(np.zeros(1), "w")], tmp_path / "dup.ckpt")
 
 
+def test_load_checkpoint_checks_config(tmp_path):
+    path = tmp_path / "c.ckpt"
+    eg.save_checkpoint([Parameter(np.zeros(2), "w")], path, {"a": 1, "b": [2, 3], "c": "x"})
+    assert set(eg.load_checkpoint(path, {"a": 1, "b": [2, 3], "c": "x"})) == {"w"}
+    with pytest.raises(ValueError, match="model config differs in b: .* has \\[2, 3\\], the model has \\[2, 4\\]"):
+        eg.load_checkpoint(path, {"a": 1, "b": [2, 4], "c": "y"})
+    bare = tmp_path / "bare.ckpt"
+    eg.save_checkpoint([Parameter(np.zeros(2), "w")], bare)
+    assert set(eg.load_checkpoint(bare)) == {"w"}
+    with pytest.raises(ValueError, match="records no model config"):
+        eg.load_checkpoint(bare, {"a": 1})
+
+
 @pytest.mark.parametrize("cut", [5, 8])
 def test_truncated_checkpoint_is_reported(tmp_path, cut):
     path = tmp_path / "c.ckpt"

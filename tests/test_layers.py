@@ -1,3 +1,4 @@
+import json
 import weakref
 
 import numpy as np
@@ -30,8 +31,25 @@ def test_cagc_matches_reference(name, strategy):
     cagc = make_cagc(topo, labeling)
     x = np.random.default_rng(5).uniform(-1, 1, (3, topo.num_joints, 3))
     pre = cagc.forward(x, activate=False).data
-    ref = layers.sgc_reference(x, topo, labeling, [w.data for w in cagc.weights])
+    ref = layers.sgc_reference(x, topo, labeling, cagc.weight.data)
     npt.assert_allclose(pre, ref, atol=1e-10)
+
+
+@pytest.mark.parametrize("name", ("toy5", "ntu25"))
+@pytest.mark.parametrize("strategy", graph.STRATEGIES)
+def test_cagc_correlation_term_rides_on_subset_zero(name, strategy):
+    topo = graph.get_topology(name)
+    labeling = graph.make_partition(topo, strategy)
+    cagc = make_cagc(topo, labeling)
+    cagc.alpha.data = np.asarray(0.7)
+    x = np.random.default_rng(5).uniform(-1, 1, (3, topo.num_joints, 3))
+    corr = cagc.correlation(x).data
+    mixed = x @ cagc.weight.data[0]
+    adaptive = np.zeros_like(mixed)
+    for c in range(mixed.shape[-1]):
+        adaptive[..., c] = (corr[c] @ mixed[..., c].T).T
+    expected = layers.sgc_reference(x, topo, labeling, cagc.weight.data) + 0.7 * adaptive
+    npt.assert_allclose(cagc.forward(x, activate=False).data, expected, atol=1e-10)
 
 
 def test_reference_chain_uniform_hand_computed():
@@ -70,7 +88,7 @@ def test_cagc_single_joint_identity():
     topo = SkeletonTopology(1, (), root=0)
     labeling = graph.uniform_partition(topo)
     cagc = make_cagc(topo, labeling, c_in=2, c_out=2)
-    cagc.weights[0].data = np.eye(2)
+    cagc.weight.data[0] = np.eye(2)
     x = np.array([[[0.5, -0.3]], [[-1.0, 2.0]]])
     out = cagc.forward(x).data
     npt.assert_allclose(out, np.maximum(x, 0.0), atol=1e-15)
@@ -80,7 +98,7 @@ def test_cagc_uniform_equals_normalized_adjacency():
     topo = graph.get_topology("toy5")
     labeling = graph.uniform_partition(topo)
     cagc = make_cagc(topo, labeling, c_in=3, c_out=3)
-    cagc.weights[0].data = np.eye(3)
+    cagc.weight.data[0] = np.eye(3)
     norm = graph.normalize_adjacency(graph.build_adjacency(topo) + np.eye(5))
     x = np.random.default_rng(0).uniform(0.1, 1.0, (4, 5, 3))
     out = cagc.forward(x).data
@@ -351,6 +369,31 @@ def test_model_checkpoint_round_trip(tmp_path):
     npt.assert_array_equal(restored.predict_proba(x), before)
 
 
+def test_model_checkpoint_header_carries_config(tmp_path):
+    config = reduced_config()
+    path = tmp_path / "m.ckpt"
+    layers.DDGCNModel(config, seed=3).save(path)
+    raw = path.read_bytes()
+    header = json.loads(raw[:raw.index(b"\n")])
+    assert header["config"] == config.describe()
+    assert header["config"]["edges"] == [[0, 1], [0, 2], [0, 3], [0, 4]]
+    shapes = {entry["name"]: entry["shape"] for entry in header["params"]}
+    assert shapes["layers.2.cagc.weight"] == [3, 16, 32] and "layers.2.cagc.w0" not in shapes
+
+
+@pytest.mark.parametrize("overrides, key", [
+    (dict(strategy="spatial"), "strategy"),
+    (dict(strides=(1, 1, 1, 1)), "strides"),
+    (dict(topology=graph.SkeletonTopology(5, ((0, 1), (0, 2), (0, 3), (3, 4)), root=0)), "edges"),
+])
+def test_model_load_rejects_checkpoint_of_another_config(tmp_path, overrides, key):
+    path = tmp_path / "m.ckpt"
+    layers.DDGCNModel(reduced_config(), seed=3).save(path)
+    other = layers.DDGCNModel(reduced_config(**overrides), seed=3)
+    with pytest.raises(ValueError, match=f"model config differs in {key}:"):
+        other.load(path)
+
+
 def perturbed_model(seed=3):
     model = layers.DDGCNModel(reduced_config(), seed=seed)
     for p in model.parameters():  # move off the zero head and alpha
@@ -390,7 +433,7 @@ def test_training_leaves_constant_masks_without_gradient():
     for _ in range(2):
         eg.cross_entropy(model.logits(x), [1, 2]).backward()
     for layer in model.layers:
-        assert all(mask.grad is None for mask in layer.cagc.masks)
+        assert layer.cagc.masks.grad is None
 
 
 def test_predict_proba_records_no_tape():

@@ -1,0 +1,59 @@
+"""Property tests on random trees: the partition laws and the stacked
+subset layout of CAGC, for every partition strategy."""
+
+import numpy as np
+import numpy.testing as npt
+from hypothesis import given, settings, strategies as st
+
+from ddgcn import graph, layers
+from ddgcn.graph import SkeletonTopology
+
+PROPERTIES = settings(max_examples=25, deadline=None)
+
+
+@st.composite
+def trees(draw, max_joints=12):
+    """A random tree from a random parent array, with shuffled joint ids
+    and a random root."""
+    v = draw(st.integers(1, max_joints))
+    parents = [draw(st.integers(0, j - 1)) for j in range(1, v)]
+    ids = draw(st.permutations(range(v)))
+    edges = tuple((ids[p], ids[j]) for j, p in enumerate(parents, start=1))
+    return SkeletonTopology(v, edges, root=draw(st.integers(0, v - 1)))
+
+
+@PROPERTIES
+@given(trees())
+def test_partition_masks_sum_to_a_plus_i(topo):
+    a = graph.build_adjacency(topo)
+    for strategy in graph.STRATEGIES:
+        labeling = graph.make_partition(topo, strategy)
+        total = sum(graph.partition_adjacency(a, labeling, k) for k in range(labeling.num_subsets))
+        npt.assert_array_equal(total, a + np.eye(topo.num_joints))
+
+
+@PROPERTIES
+@given(trees())
+def test_stacked_masks_hold_each_normalized_subset(topo):
+    a = graph.build_adjacency(topo)
+    v = topo.num_joints
+    for strategy in graph.STRATEGIES:
+        labeling = graph.make_partition(topo, strategy)
+        k_total = labeling.num_subsets
+        masks = layers.CAGC(2, 3, topo, labeling, np.random.default_rng(0)).masks.data
+        assert masks.shape == (v * k_total, v)
+        for k in range(k_total):  # row i*K+k is row i of subset k
+            expected = graph.normalize_adjacency(graph.partition_adjacency(a, labeling, k))
+            npt.assert_array_equal(masks.reshape(v, k_total, v)[:, k], expected)
+
+
+@PROPERTIES
+@given(trees(), st.integers(0, 2**32 - 1))
+def test_cagc_matches_reference_on_random_trees(topo, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-1, 1, (2, topo.num_joints, 3))
+    for strategy in graph.STRATEGIES:
+        labeling = graph.make_partition(topo, strategy)
+        cagc = layers.CAGC(3, 4, topo, labeling, rng)
+        ref = layers.sgc_reference(x, topo, labeling, cagc.weight.data)
+        npt.assert_allclose(cagc.forward(x, activate=False).data, ref, atol=1e-10)
