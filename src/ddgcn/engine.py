@@ -245,12 +245,32 @@ def scalar_mul(a, c: float) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
-    """Matrix product with NumPy broadcasting over leading axes."""
+    """Matrix product with NumPy broadcasting over leading axes.
+
+    A 2-D ``b`` (a weight) folds the leading axes of ``a`` into one
+    (N, C_in) matrix, so each direction is a single GEMM and the weight
+    gradient is formed without a per-leading-index stack of products.
+    """
     a, b = _lift(a), _lift(b)
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError(f"matmul: operands must be at least 2-D, got {a.data.shape} and {b.data.shape}")
     if a.data.shape[-1] != b.data.shape[-2]:
         raise ShapeError(f"matmul: inner dimensions differ for {a.data.shape} and {b.data.shape}")
+
+    if b.ndim == 2:
+        c_in, c_out = b.data.shape
+        out_shape = a.data.shape[:-1] + (c_out,)
+
+        # bw rebuilds the (N, C_in) view from a.data, so the closure keeps no extra copy
+        def bw_folded(g):
+            g2 = g.reshape(-1, c_out)
+            if a.requires_grad:
+                a._accumulate((g2 @ b.data.T).reshape(a.data.shape))
+            if b.requires_grad:
+                b._accumulate(a.data.reshape(-1, c_in).T @ g2)
+
+        out_val = (a.data.reshape(-1, c_in) @ b.data).reshape(out_shape)
+        return Tensor(out_val, (a, b), bw_folded, "matmul")
 
     def bw(g):
         if a.requires_grad:
@@ -283,13 +303,16 @@ def relu(a) -> Tensor:
 def softmax(a) -> Tensor:
     """Softmax over the last axis, numerically stabilized."""
     a = _lift(a)
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    s = e / e.sum(axis=-1, keepdims=True)
+    s = a.data - a.data.max(axis=-1, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=-1, keepdims=True)
 
     def bw(g):
-        inner = (g * s).sum(axis=-1, keepdims=True)
-        a._accumulate((g - inner) * s)
+        ds = g * s
+        inner = ds.sum(axis=-1, keepdims=True)
+        np.subtract(g, inner, out=ds)
+        ds *= s
+        a._accumulate(ds)
 
     return Tensor(s, (a,), bw, "softmax")
 

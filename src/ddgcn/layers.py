@@ -101,9 +101,12 @@ class CAGC:
             raise ShapeError(
                 f"cagc: expected {self.num_joints} joints x {self.in_channels} channels, got {xb.shape}")
         agg = eg.reshape(self.masks @ xb, xb.shape[:3] + (-1,))  # (B, T, V, K*C_in)
-        total = agg @ eg.reshape(self.weight, (-1, self.out_channels))
-        # subset 0's kernel is taken from the weight: a take of an activation scatters in backward
-        per_channel = eg.transpose(xb @ eg.take(self.weight, [0], axis=0), (0, 3, 2, 1))
+        kernel = eg.reshape(self.weight, (-1, self.out_channels))  # (K*C_in, C_out)
+        total = agg @ kernel
+        # subset 0's kernel is the first C_in rows of the weight, 2-D so the product
+        # folds into one GEMM; a take of an activation would scatter in backward
+        first = eg.take(kernel, np.arange(self.in_channels), axis=0)
+        per_channel = eg.transpose(xb @ first, (0, 3, 2, 1))
         total = total + self.alpha * eg.transpose(self.correlation(xb) @ per_channel, (0, 3, 2, 1))
         out = eg.relu(total) if activate else total
         return eg.reshape(out, out.shape[1:]) if squeeze else out
@@ -206,11 +209,11 @@ class STSE:
             axes = (0, 1, 3, 4, 2) if transposed else (0, 1, 3, 2, 4)
             return eg.transpose(p, axes)
 
-        q = heads_of(self.wq, self.bq)
+        # scale the (..., L, head_dim) queries, not the (..., L, L) scores
+        q = eg.scalar_mul(heads_of(self.wq, self.bq), 1.0 / np.sqrt(head_dim))
         k_t = heads_of(self.wk, transposed=True)
         v = heads_of(self.wv, self.bv)
-        scores = eg.scalar_mul(q @ k_t, 1.0 / np.sqrt(head_dim))
-        scores = scores + eg.gather(self.bias_tables, self.rel_index)
+        scores = q @ k_t + eg.gather(self.bias_tables, self.rel_index)
         attn = eg.softmax(scores)
         self.last_attention = attn.data
         ctx = attn @ v

@@ -1,3 +1,8 @@
+import importlib.util
+import inspect
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -31,6 +36,15 @@ def test_softmax_of_zeros_is_uniform():
 def test_softmax_rows_sum_to_one():
     out = eg.softmax(Tensor(rng.standard_normal((7, 3, 9))))
     npt.assert_allclose(out.data.sum(axis=-1), 1.0, atol=1e-9)
+
+
+def test_softmax_leaves_its_input_and_matches_shifted_exponentials_at_large_magnitudes():
+    x = rng.standard_normal((3, 4, 7)) * 300.0 + np.array([-800.0, 0.0, 900.0])[:, None, None]
+    before = x.copy()
+    out = eg.softmax(Tensor(x)).data
+    npt.assert_array_equal(x, before)
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    npt.assert_array_equal(out, e / e.sum(axis=-1, keepdims=True))
 
 
 def test_relu_values():
@@ -155,6 +169,56 @@ def test_grad_matmul_broadcast_constant():
     x = Parameter(rng.uniform(-1, 1, (3, 2, 5, 4)), "x")
     r = rng.standard_normal((3, 2, 5, 4))
     check_grads(lambda: weighted_sum(m @ x, r), [m, x])
+
+
+@pytest.mark.parametrize("lead", [(3,), (2, 3), (2, 1, 3)])
+def test_grad_matmul_folds_leading_axes_of_a_2d_weight(lead):
+    a = Parameter(rng.uniform(-1, 1, lead + (4, 5)), "a")
+    w = Parameter(rng.uniform(-1, 1, (5, 3)), "w")
+    r = rng.standard_normal(lead + (4, 3))
+    npt.assert_allclose((a @ w).data, np.matmul(a.data, w.data), rtol=1e-13, atol=1e-13)
+    check_grads(lambda: weighted_sum(a @ w, r), [a, w])
+
+
+def test_grad_matmul_of_a_transposed_view_and_a_2d_weight():
+    x = Parameter(rng.uniform(-1, 1, (2, 5, 3, 4)), "x")
+    w = Parameter(rng.uniform(-1, 1, (5, 6)), "w")
+    r = rng.standard_normal((2, 4, 3, 6))
+    view = eg.transpose(x, (0, 3, 2, 1))
+    assert not view.data.flags.c_contiguous
+    npt.assert_allclose((view @ w).data, np.matmul(view.data, w.data), rtol=1e-13, atol=1e-13)
+    check_grads(lambda: weighted_sum(eg.transpose(x, (0, 3, 2, 1)) @ w, r), [x, w])
+
+
+def test_matmul_skips_the_adjoint_of_a_constant_2d_weight():
+    class Spy(Tensor):
+        adjoints = 0
+
+        def _accumulate(self, g):
+            Spy.adjoints += 1
+
+    a = Parameter(rng.standard_normal((2, 3, 4)), "a")
+    w = rng.standard_normal((4, 5))
+    r = rng.standard_normal((2, 3, 5))
+    weighted_sum(a @ Spy(w), r).backward()
+    assert Spy.adjoints == 0
+    npt.assert_allclose(a.grad, r @ w.T, rtol=1e-12)
+
+
+def test_matmul_weight_gradient_forms_no_per_row_stack():
+    a = Parameter(rng.standard_normal((16, 16, 5, 64)), "a")
+    w = Parameter(rng.standard_normal((64, 64)), "w")
+    r = rng.standard_normal((16, 16, 5, 64))
+    out = weighted_sum(a @ w, r)
+    stack_mb = 16 * 16 * 64 * 64 * 8 / 1e6  # one (C_in, C_out) product per (B, T) index
+    tracemalloc.start()
+    try:
+        out.backward()
+        peak_mb = tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+    assert peak_mb < stack_mb / 3, peak_mb
+    npt.assert_allclose(w.grad, np.einsum("btvi,btvo->io", a.data, r), rtol=1e-12, atol=1e-12)
 
 
 def test_grad_elementwise_and_broadcast():
@@ -464,3 +528,17 @@ def test_truncated_checkpoint_is_reported(tmp_path, cut):
     path.write_bytes(path.read_bytes()[:-cut])
     with pytest.raises(ValueError, match="truncated: header lists 13 values"):
         eg.load_checkpoint(path)
+
+
+def test_every_primitive_is_traced_by_the_benchmark():
+    # perfbench's tracer wraps engine functions by name from outside; a primitive
+    # missing from its list would drop out of the per-layer figures unnoticed
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    primitives = {name for name in eg.__all__
+                  if inspect.isfunction(getattr(eg, name))
+                  and inspect.signature(getattr(eg, name)).return_annotation == "Tensor"}
+    assert {"matmul", "softmax", "temporal_conv", "take"} <= primitives
+    assert primitives <= set(tracing.PRIMITIVES), primitives - set(tracing.PRIMITIVES)

@@ -198,6 +198,39 @@ def test_msa_single_token_window():
     npt.assert_allclose(stse.last_attention, 1.0)
 
 
+def attention_loops(stse, tokens):
+    """softmax(q k^T / sqrt(d) + bias) v per window and head, then wo and bo."""
+    b, n, length, c = tokens.shape
+    d = c // stse.heads
+    out = np.zeros_like(tokens)
+    for i in range(b):
+        for w in range(n):
+            x = tokens[i, w]
+            ctx = np.zeros((length, c))
+            for h in range(stse.heads):
+                cols = slice(h * d, (h + 1) * d)
+                q = x @ stse.wq.data[:, cols] + stse.bq.data[cols]
+                k = x @ stse.wk.data[:, cols]
+                v = x @ stse.wv.data[:, cols] + stse.bv.data[cols]
+                scores = q @ k.T / np.sqrt(d) + stse.bias_tables.data[h][stse.rel_index]
+                e = np.exp(scores - scores.max(axis=1, keepdims=True))
+                ctx[:, cols] = (e / e.sum(axis=1, keepdims=True)) @ v
+            out[i, w] = ctx @ stse.wo.data + stse.bo.data
+    return out
+
+
+def test_attend_matches_per_window_per_head_loops():
+    # head_dim 8: 1/sqrt(8) is inexact, so scaling queries and scaling scores round differently
+    stse = layers.STSE(16, WindowSpec(2, 3), heads=2, kernel=3, groups=2,
+                       stride=1, rng=np.random.default_rng(21))
+    g = np.random.default_rng(22)
+    for p in (stse.bq, stse.bv, stse.bo, stse.bias_tables):
+        p.data = g.standard_normal(p.shape)
+    tokens = g.uniform(-1, 1, (2, 3, 6, 16))
+    out = stse.attend(Tensor(tokens)).data
+    npt.assert_allclose(out, attention_loops(stse, tokens), rtol=1e-12, atol=1e-12)
+
+
 def test_attention_rows_sum_to_one():
     stse = make_stse()
     stse.bias_tables.data = np.random.default_rng(7).standard_normal(

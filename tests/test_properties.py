@@ -1,12 +1,14 @@
-"""Property tests on random trees: the partition laws and the stacked
-subset layout of CAGC, for every partition strategy."""
+"""Property tests: on random trees, the partition laws and the stacked
+subset layout of CAGC for every partition strategy; on random lengths,
+preprocessing; on random grids, the window tiling."""
 
 import numpy as np
 import numpy.testing as npt
 from hypothesis import given, settings, strategies as st
 
-from ddgcn import graph, layers
+from ddgcn import data, graph, layers
 from ddgcn.graph import SkeletonTopology
+from ddgcn.windows import WindowSpec, split_windows
 
 PROPERTIES = settings(max_examples=25, deadline=None)
 
@@ -57,3 +59,39 @@ def test_cagc_matches_reference_on_random_trees(topo, seed):
         cagc = layers.CAGC(3, 4, topo, labeling, rng)
         ref = layers.sgc_reference(x, topo, labeling, cagc.weight.data)
         npt.assert_allclose(cagc.forward(x, activate=False).data, ref, atol=1e-10)
+
+
+@st.composite
+def samples(draw):
+    """A random (T, V, 3) sample and a root joint."""
+    t, v = draw(st.integers(1, 20)), draw(st.integers(1, 6))
+    frames = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(-5, 5, (t, v, 3))
+    return data.SkeletonSample(frames=frames, label=0, sample_id="s"), draw(st.integers(0, v - 1))
+
+
+@PROPERTIES
+@given(samples(), st.integers(1, 20))
+def test_preprocess_length_root_and_idempotence(drawn, target):
+    sample, root = drawn
+    once = data.preprocess(sample, target, root_joint=root)
+    assert once.frames.shape == (target,) + sample.frames.shape[1:]
+    npt.assert_array_equal(once.frames[0, root], 0.0)
+    npt.assert_array_equal(data.preprocess(once, target, root_joint=root).frames, once.frames)
+
+
+@PROPERTIES
+@given(st.integers(1, 12), st.integers(1, 4), st.integers(1, 4), st.integers(1, 4))
+def test_windows_tile_the_padded_grid(frames, m, n, joint_blocks):
+    v = n * joint_blocks
+    layout = split_windows(frames, v, WindowSpec(m, n))
+    padded = layout.padded_frames
+    assert padded % m == 0 and frames <= padded < frames + m
+    cells = padded * v
+    npt.assert_array_equal(np.sort(layout.gather), np.arange(cells))
+    npt.assert_array_equal(layout.gather[layout.scatter], np.arange(cells))
+    npt.assert_array_equal(layout.scatter[layout.gather], np.arange(cells))
+    # token (t, v) sits in the one window of its time block and joint block
+    windows = layout.gather.reshape(layout.num_windows, m * n)
+    t_of, v_of = windows // v, windows % v
+    window = np.arange(layout.num_windows)[:, None]
+    npt.assert_array_equal(t_of // m * joint_blocks + v_of // n, np.broadcast_to(window, windows.shape))
