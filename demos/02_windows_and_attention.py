@@ -9,7 +9,7 @@ row-stochastic.
 
 import numpy as np
 
-from ddgcn import layers, windows
+from ddgcn import engine, layers, windows
 
 np.set_printoptions(precision=3, suppress=True)
 
@@ -47,10 +47,13 @@ stse = layers.STSE(channels=8, spec=windows.WindowSpec(4, 5), heads=4,
 # give the position bias something to say
 stse.bias_tables.data = 0.5 * np.random.default_rng(2).standard_normal(
     stse.bias_tables.data.shape)
-x = np.random.default_rng(3).uniform(-1, 1, (8, 5, 8))
+x = np.random.default_rng(3).uniform(-1, 1, (1, 8, 5, 8))  # a batch of one sequence
 out = stse.forward(x)
-attn = stse.last_attention
-print(f"input (T,V,C) = {x.shape} -> output {out.shape}")
+print(f"input (B,T,V,C) = {x.shape} -> output {out.shape}")
+# the block's window tokens, in the layout's gather order, and their attention
+layout8 = windows.split_windows(8, 5, stse.spec)
+tokens = x.reshape(1, -1, 8)[:, layout8.gather].reshape(1, layout8.num_windows, stse.spec.tokens, 8)
+attn = stse.attention(engine.Tensor(tokens)).data
 print(f"attention tensor (windows, heads, tokens, tokens) = {attn.shape[1:]}")
 print(f"attention rows sum to 1 within {np.abs(attn.sum(-1) - 1).max():.1e}")
 

@@ -47,14 +47,14 @@ def run_gradient_battery(topology: SkeletonTopology, strategy: str = "activity",
     # Correlation branch alone.
     cagc = CAGC(channels, channels, topology, labeling, np.random.default_rng(seed + 1))
     cagc.alpha.data = np.asarray(0.3)
-    x_in = Parameter(rng.uniform(-1.0, 1.0, size=(frames, v, channels)), "input")
-    r_corr = rng.standard_normal((channels, v, v))
+    x_in = Parameter(rng.uniform(-1.0, 1.0, size=(1, frames, v, channels)), "input")
+    r_corr = rng.standard_normal((1, channels, v, v))
     record("channel_correlation",
            lambda: weighted_sum(cagc.correlation(x_in), r_corr),
            cagc.parameters() + [x_in])
 
     # Full graph convolution, ReLU included.
-    r_cagc = rng.standard_normal((frames, v, channels))
+    r_cagc = rng.standard_normal((1, frames, v, channels))
     record("cagc_forward",
            lambda: weighted_sum(cagc.forward(x_in), r_cagc),
            cagc.parameters() + [x_in])
@@ -65,14 +65,14 @@ def run_gradient_battery(topology: SkeletonTopology, strategy: str = "activity",
                 rng=np.random.default_rng(seed + 2))
     stse.bias_tables.data = 0.1 * np.random.default_rng(seed + 3).standard_normal(
         stse.bias_tables.data.shape)
-    tokens = Parameter(rng.uniform(-1.0, 1.0, size=(spec.tokens, channels)), "tokens")
-    r_msa = rng.standard_normal((spec.tokens, channels))
+    tokens = Parameter(rng.uniform(-1.0, 1.0, size=(1, 1, spec.tokens, channels)), "tokens")
+    r_msa = rng.standard_normal((1, 1, spec.tokens, channels))
     record("msa_window",
-           lambda: weighted_sum(stse.msa_window(tokens), r_msa),
+           lambda: weighted_sum(stse.attend(tokens), r_msa),
            stse.parameters() + [tokens])
 
     # The whole windowed encoder block.
-    r_stse = rng.standard_normal((frames, v, channels))
+    r_stse = rng.standard_normal((1, frames, v, channels))
     record("stse_forward",
            lambda: weighted_sum(stse.forward(x_in), r_stse),
            stse.parameters() + [x_in])

@@ -148,6 +148,8 @@ def generate_synthetic(spec: SyntheticSpec) -> list[SkeletonSample]:
     """Seeded synthetic dataset; bit-identical across runs for a fixed spec."""
     if spec.num_classes < 1 or spec.samples_per_class < 1 or spec.frames < 1:
         raise DataError("synthetic spec must have positive counts")
+    if not (np.isfinite(spec.noise_std) and spec.noise_std >= 0.0):
+        raise DataError(f"synthetic noise_std must be finite and non-negative, got {spec.noise_std}")
     samples = []
     trajectories = [class_trajectory(spec, c) for c in range(spec.num_classes)]
     index = 0

@@ -626,27 +626,43 @@ def load_checkpoint(path, config: dict | None = None) -> dict[str, np.ndarray]:
     ValueError names the first key that differs."""
     with open(path, "rb") as handle:
         raw = handle.read()
-    nl = raw.index(b"\n")
+    nl = raw.find(b"\n")
+    if nl < 0:
+        raise ValueError(f"checkpoint {path} has no header line")
     header = json.loads(raw[:nl].decode("utf-8"))
-    if header.get("format") != _CHECKPOINT_FORMAT:
+    if not isinstance(header, dict) or header.get("format") != _CHECKPOINT_FORMAT:
         raise ValueError(f"unrecognized checkpoint format in {path}")
     if config is not None:
         saved = header.get("config")
-        if saved is None:
+        if not isinstance(saved, dict):
             raise ValueError(f"checkpoint {path} records no model config")
         for key, value in config.items():
             if saved.get(key) != value:
                 raise ValueError(f"model config differs in {key}: checkpoint {path} has "
                                  f"{saved.get(key)!r}, the model has {value!r}")
+    entries = header.get("params")
+    if not isinstance(entries, list):
+        raise ValueError(f"checkpoint {path}: params must be a list, got {entries!r}")
+    total = 0  # the running offset save_checkpoint writes
+    for entry in entries:
+        if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
+                and isinstance(entry.get("shape"), list)
+                and all(type(d) is int and d >= 0 for d in entry["shape"])):
+            raise ValueError(f"checkpoint {path}: malformed params entry {entry!r}")
+        if type(entry.get("offset")) is not int or entry["offset"] != total:
+            raise ValueError(f"checkpoint {path}: {entry['name']!r} has offset "
+                             f"{entry.get('offset')!r}, expected {total}")
+        total += math.prod(entry["shape"])
+    if len({entry["name"] for entry in entries}) != len(entries):
+        raise ValueError(f"checkpoint {path} lists a parameter name twice")
     body = raw[nl + 1:]
-    total = sum(math.prod(entry["shape"]) for entry in header["params"])
     if len(body) != 8 * total:
         problem = "is truncated" if len(body) < 8 * total else "has trailing bytes"
         raise ValueError(f"checkpoint {path} {problem}: header lists {total} values, "
                          f"the data section holds {len(body)} bytes")
     data = np.frombuffer(body, dtype="<f8")
     out = {}
-    for entry in header["params"]:
+    for entry in entries:
         shape = tuple(entry["shape"])
         start = entry["offset"]
         out[entry["name"]] = data[start:start + math.prod(shape)].reshape(shape).astype(np.float64)
@@ -661,4 +677,4 @@ def assign_checkpoint(params: Iterable[Parameter], state: dict[str, np.ndarray])
         value = state[p.name]
         if value.shape != p.data.shape:
             raise ValueError(f"checkpoint shape {value.shape} does not match {p.name!r} {p.data.shape}")
-        p.data = value.astype(np.float64).copy()
+        p.data = np.array(value, dtype=np.float64)

@@ -7,7 +7,9 @@ convolution, shortcut and layer normalization. Ten stacked layers plus
 global pooling and a softmax head form the classifier; joint and bone
 streams can be fused by score averaging.
 
-All layers accept a single sequence (T, V, C) or a batch (B, T, V, C).
+The blocks (CAGC, STSE, STGCLayer) are stateless maps of one batch
+(B, T, V, C) and raise ShapeError on any other rank; only the model's entry
+points also take a single sequence (T, V, C), lifted to a batch of one.
 """
 
 from __future__ import annotations
@@ -40,13 +42,11 @@ def correlation_width(out_channels: int) -> int:
     return max(out_channels // 4, 4)
 
 
-def _as_batch(x) -> tuple[Tensor, bool]:
+def _batch(x, block: str) -> Tensor:
     t = x if isinstance(x, Tensor) else Tensor(x)
-    if t.ndim == 3:
-        return eg.reshape(t, (1,) + t.shape), True
-    if t.ndim == 4:
-        return t, False
-    raise ShapeError(f"expected (T, V, C) or (B, T, V, C), got {t.shape}")
+    if t.ndim != 4:
+        raise ShapeError(f"{block}: expected a (B, T, V, C) batch, got {t.shape}")
+    return t
 
 
 class CAGC:
@@ -81,22 +81,20 @@ class CAGC:
     def correlation(self, x) -> Tensor:
         """Pairwise channel correlations A'.
 
-        (T, V, C_in) -> (C_out, V, V); batched input adds a leading B.
-        Entry [c, i, j] is xi(tanh(theta(xbar_i) - phi(xbar_j)))[c] with
-        xbar the temporal mean per joint.
+        (B, T, V, C_in) -> (B, C_out, V, V). Entry [b, c, i, j] is
+        xi(tanh(theta(xbar_i) - phi(xbar_j)))[c] with xbar the temporal mean
+        per joint of sample b.
         """
-        xb, squeeze = _as_batch(x)
+        xb = _batch(x, "cagc")
         b, _, v, _ = xb.shape
         xbar = eg.mean_pool(xb, axis=1)
         left = eg.reshape(xbar @ self.theta, (b, v, 1, -1))
         right = eg.reshape(xbar @ self.phi, (b, 1, v, -1))
-        corr = eg.tanh(left - right) @ self.xi
-        corr = eg.transpose(corr, (0, 3, 1, 2))
-        return eg.reshape(corr, corr.shape[1:]) if squeeze else corr
+        return eg.transpose(eg.tanh(left - right) @ self.xi, (0, 3, 1, 2))
 
     def forward(self, x, activate: bool = True) -> Tensor:
-        """(T, V, C_in) -> (T, V, C_out); ReLU unless ``activate`` is False."""
-        xb, squeeze = _as_batch(x)
+        """(B, T, V, C_in) -> (B, T, V, C_out); ReLU unless ``activate`` is False."""
+        xb = _batch(x, "cagc")
         if xb.shape[2] != self.num_joints or xb.shape[3] != self.in_channels:
             raise ShapeError(
                 f"cagc: expected {self.num_joints} joints x {self.in_channels} channels, got {xb.shape}")
@@ -108,8 +106,7 @@ class CAGC:
         first = eg.take(kernel, np.arange(self.in_channels), axis=0)
         per_channel = eg.transpose(xb @ first, (0, 3, 2, 1))
         total = total + self.alpha * eg.transpose(self.correlation(xb) @ per_channel, (0, 3, 2, 1))
-        out = eg.relu(total) if activate else total
-        return eg.reshape(out, out.shape[1:]) if squeeze else out
+        return eg.relu(total) if activate else total
 
 
 def sgc_reference(x: np.ndarray, topology: SkeletonTopology, labeling: PartitionLabeling,
@@ -191,45 +188,34 @@ class STSE:
             _uniform(rng, (c, c // groups, kernel), (c // groups) * kernel), f"{name}.gtc")
         self.ln_gamma = Parameter(np.ones(c), f"{name}.ln_gamma")
         self.ln_beta = Parameter(np.zeros(c), f"{name}.ln_beta")
-        self.last_attention: np.ndarray | None = None
 
     def parameters(self) -> list[Parameter]:
         return [self.wq, self.wk, self.wv, self.wo, self.bq, self.bv, self.bo,
                 self.bias_tables, self.gtc_weight, self.ln_gamma, self.ln_beta]
 
+    def _heads(self, tokens: Tensor, proj: Parameter, bias=None, transposed=False) -> Tensor:
+        """Project (B, n, L, C) tokens and split the heads: (B, n, H, L, C/H),
+        or (B, n, H, C/H, L) when ``transposed``."""
+        b, n, length, c = tokens.shape
+        mapped = tokens @ proj if bias is None else tokens @ proj + bias
+        p = eg.reshape(mapped, (b, n, length, self.heads, c // self.heads))
+        return eg.transpose(p, (0, 1, 3, 4, 2) if transposed else (0, 1, 3, 2, 4))
+
+    def attention(self, tokens: Tensor) -> Tensor:
+        """Softmax weights of each head in each window; (B, n, L, C) -> (B, n, H, L, L)."""
+        # scale the (..., L, head_dim) queries, not the (..., L, L) scores
+        q = eg.scalar_mul(self._heads(tokens, self.wq, self.bq), 1.0 / np.sqrt(self.channels // self.heads))
+        scores = q @ self._heads(tokens, self.wk, transposed=True)
+        return eg.softmax(scores + eg.gather(self.bias_tables, self.rel_index))
+
     def attend(self, tokens: Tensor) -> Tensor:
         """Multi-head attention inside each window; (B, n, L, C) -> same."""
-        b, n, length, c = tokens.shape
-        h = self.heads
-        head_dim = c // h
-
-        def heads_of(proj, bias=None, transposed=False):
-            mapped = tokens @ proj if bias is None else tokens @ proj + bias
-            p = eg.reshape(mapped, (b, n, length, h, head_dim))
-            axes = (0, 1, 3, 4, 2) if transposed else (0, 1, 3, 2, 4)
-            return eg.transpose(p, axes)
-
-        # scale the (..., L, head_dim) queries, not the (..., L, L) scores
-        q = eg.scalar_mul(heads_of(self.wq, self.bq), 1.0 / np.sqrt(head_dim))
-        k_t = heads_of(self.wk, transposed=True)
-        v = heads_of(self.wv, self.bv)
-        scores = q @ k_t + eg.gather(self.bias_tables, self.rel_index)
-        attn = eg.softmax(scores)
-        self.last_attention = attn.data
-        ctx = attn @ v
-        merged = eg.reshape(eg.transpose(ctx, (0, 1, 3, 2, 4)), (b, n, length, c))
-        return merged @ self.wo + self.bo
-
-    def msa_window(self, tokens) -> Tensor:
-        """Single-window surface: (M*N, C) tokens in, (M*N, C) out."""
-        t = tokens if isinstance(tokens, Tensor) else Tensor(tokens)
-        if t.ndim != 2:
-            raise ShapeError(f"msa_window expects (tokens, channels), got {t.shape}")
-        out = self.attend(eg.reshape(t, (1, 1) + t.shape))
-        return eg.reshape(out, t.shape)
+        ctx = self.attention(tokens) @ self._heads(tokens, self.wv, self.bv)
+        return eg.reshape(eg.transpose(ctx, (0, 1, 3, 2, 4)), tokens.shape) @ self.wo + self.bo
 
     def forward(self, x) -> Tensor:
-        xb, squeeze = _as_batch(x)
+        """(B, T, V, C) -> (B, ceil(T / stride), V, C)."""
+        xb = _batch(x, "stse")
         b, t, v, c = xb.shape
         if c != self.channels:
             raise ShapeError(f"stse: expected {self.channels} channels, got {c}")
@@ -248,8 +234,7 @@ class STSE:
             seq = eg.take(seq, np.arange(t), axis=1)
         y = eg.temporal_conv(seq, self.gtc_weight, self.groups, self.stride)
         shortcut = xb if self.stride == 1 else eg.take(xb, np.arange(0, t, self.stride), axis=1)
-        out = eg.layer_norm(y + shortcut, self.ln_gamma, self.ln_beta)
-        return eg.reshape(out, out.shape[1:]) if squeeze else out
+        return eg.layer_norm(y + shortcut, self.ln_gamma, self.ln_beta)
 
 
 class STGCLayer:
@@ -267,11 +252,9 @@ class STGCLayer:
         return self.cagc.parameters() + self.stse.parameters()
 
     def forward(self, x) -> Tensor:
-        xb, squeeze = _as_batch(x)
+        xb = _batch(x, "layer")
         out = self.stse.forward(self.cagc.forward(xb))
-        if self.residual:
-            out = out + xb
-        return eg.reshape(out, out.shape[1:]) if squeeze else out
+        return out + xb if self.residual else out
 
 
 DEFAULT_CHANNELS = (64, 64, 64, 64, 128, 128, 128, 256, 256, 256)
@@ -300,6 +283,12 @@ class ModelConfig:
             raise ConfigError("channels and strides must have the same length")
         if not self.channels:
             raise ConfigError("at least one layer is required")
+        sizes = {"heads": self.heads, "groups": self.groups, "kernel": self.kernel,
+                 "in_channels": self.in_channels, "channels": min(self.channels),
+                 "strides": min(self.strides)}
+        for key, value in sizes.items():
+            if value < 1:
+                raise ConfigError(f"{key} must be >= 1, got {value}")
         for c in self.channels:
             if c % self.heads != 0:
                 raise ConfigError(f"heads={self.heads} must divide every layer width, got {c}")
@@ -308,9 +297,6 @@ class ModelConfig:
         if self.topology.num_joints % self.window.joints != 0:
             raise ConfigError(
                 f"window width {self.window.joints} must divide joint count {self.topology.num_joints}")
-        for s in self.strides:
-            if s < 1:
-                raise ConfigError("strides must be >= 1")
 
     def describe(self) -> dict:
         """The config as JSON values; checkpoints carry it and are checked against it."""
@@ -353,7 +339,9 @@ class DDGCNModel:
 
     def logits(self, x) -> Tensor:
         """Class scores before softmax: (T, V, C) -> (K,), batched -> (B, K)."""
-        xb, squeeze = _as_batch(x)
+        t = x if isinstance(x, Tensor) else Tensor(x)
+        squeeze = t.ndim == 3
+        xb = _batch(eg.reshape(t, (1,) + t.shape) if squeeze else t, "model")
         v, c = self.config.topology.num_joints, self.config.in_channels
         if xb.shape[2] != v or xb.shape[3] != c:
             raise ShapeError(f"model expects {v} joints x {c} channels, got {xb.shape}")

@@ -29,8 +29,12 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1 or self.decay_every < 1:
             raise ConfigError("epochs, batch_size and decay_every must be positive")
-        if self.base_lr <= 0 or not 0 < self.lr_decay <= 1:
-            raise ConfigError("base_lr must be positive and lr_decay in (0, 1]")
+        if not (np.isfinite(self.base_lr) and self.base_lr > 0) or not 0 < self.lr_decay <= 1:
+            raise ConfigError("base_lr must be positive and finite and lr_decay in (0, 1]")
+        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
+            raise ConfigError(f"beta1 and beta2 must be in [0, 1), got {self.beta1} and {self.beta2}")
+        if not (np.isfinite(self.eps) and self.eps > 0):
+            raise ConfigError(f"eps must be positive and finite, got {self.eps}")
 
 
 def lr_at(epoch: int, config: TrainConfig) -> float:

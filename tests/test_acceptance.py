@@ -86,7 +86,7 @@ def test_criterion_1_oracle_equivalence():
                 rng = np.random.default_rng(1000 + seed)
                 cagc = layers.CAGC(3, 4, topo, labeling, np.random.default_rng(seed))
                 x = rng.uniform(-1.0, 1.0, (3, topo.num_joints, 3))
-                pre = cagc.forward(x, activate=False).data
+                pre = cagc.forward(x[None], activate=False).data[0]
                 ref = layers.sgc_reference(x, topo, labeling,
                                            cagc.weight.data, "symmetric")
                 worst = max(worst, float(np.abs(pre - ref).max()))
@@ -160,11 +160,17 @@ def test_criterion_4_window_laws():
     report(4, "window laws", ok and elapsed < 1.0, f"{elapsed:.2f}s")
 
 
-def test_criterion_5_attention_and_normalization(joint_run, synthetic_samples):
+def test_criterion_5_attention_and_normalization(joint_run, synthetic_samples, monkeypatch):
     model, _, _ = joint_run
+    attention, seen = layers.STSE.attention, []
+
+    def spied(self, tokens):
+        seen.append(attention(self, tokens))
+        return seen[-1]
+    monkeypatch.setattr(layers.STSE, "attention", spied)
     model.forward(synthetic_samples[0].frames)
-    row_err = max(float(np.abs(layer.stse.last_attention.sum(axis=-1) - 1.0).max())
-                  for layer in model.layers)
+    assert len(seen) == len(model.layers)
+    row_err = max(float(np.abs(attn.data.sum(axis=-1) - 1.0).max()) for attn in seen)
 
     rng = np.random.default_rng(12)
     normalized = eg.layer_norm(eg.Tensor(rng.standard_normal((32, 16)))).data

@@ -80,6 +80,17 @@ def test_eval_truncated_checkpoint_is_data_error(tmp_path, capsys):
     assert "is truncated: header lists" in capsys.readouterr().err
 
 
+def test_eval_malformed_checkpoint_header_is_data_error(tmp_path, capsys):
+    config = write_config(tmp_path, base_config(tmp_path))
+    assert cli.main(["train", "--config", config, "--set", "train.epochs=1"]) == 0
+    ckpt = tmp_path / "out" / "model_joint.ckpt"
+    raw = ckpt.read_bytes()
+    ckpt.write_bytes(b"[1, 2]" + raw[raw.index(b"\n"):])
+    capsys.readouterr()
+    assert cli.main(["eval", "--config", config, "--checkpoint", str(ckpt)]) == cli.EXIT_DATA
+    assert "unrecognized checkpoint format" in capsys.readouterr().err
+
+
 def test_train_checkpoint_is_byte_deterministic(tmp_path):
     config = write_config(tmp_path, base_config(tmp_path))
     assert cli.main(["train", "--config", config, "--set", "train.epochs=1"]) == 0
@@ -206,11 +217,36 @@ def test_malformed_value_is_config_error(tmp_path, capsys, override):
     assert override.split("=")[0] in err
 
 
+@pytest.mark.parametrize("override, key", [
+    ("model.heads=0", "heads"), ("model.groups=0", "groups"), ("model.kernel=0", "kernel"),
+    ("model.kernel=-1", "kernel"), ("model.channels=[0,0]", "channels"),
+    ("model.in_channels=0", "in_channels"),
+    ("train.base_lr=nan", "base_lr"), ("train.base_lr=Infinity", "base_lr"),
+    ("train.beta1=1.0", "beta1"), ("train.beta1=-0.5", "beta1"), ("train.beta2=1.5", "beta2"),
+    ("train.eps=0", "eps"),
+])
+def test_unusable_value_is_config_error(tmp_path, capsys, override, key):
+    config = write_config(tmp_path, base_config(tmp_path))
+    assert cli.main(["train", "--config", config, "--set", override]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error" in err and key in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "-0.5"])
+def test_unusable_synthetic_noise_is_data_error(tmp_path, capsys, value):
+    config = write_config(tmp_path, base_config(tmp_path))
+    assert cli.main(["train", "--config", config, "--set", f"data.synthetic.noise_std={value}"]) == cli.EXIT_DATA
+    assert "noise_std must be finite and non-negative" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_gradcheck_passes_on_reduced_config(tmp_path, capsys):
     config = write_config(tmp_path, base_config(tmp_path))
     assert cli.main(["gradcheck", "--config", config]) == 0
     out = capsys.readouterr().out
-    assert "gradcheck model" in out
+    for tag in ("channel_correlation", "cagc_forward", "msa_window", "stse_forward", "model"):
+        assert f"gradcheck {tag}: max rel err" in out
     assert "FAIL" not in out
 
 

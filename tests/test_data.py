@@ -155,6 +155,12 @@ def test_synthetic_noise_is_seeded_per_sample():
     npt.assert_array_equal(samples[0].frames, again[0].frames)
 
 
+@pytest.mark.parametrize("noise_std", [-0.1, float("nan"), float("inf")])
+def test_synthetic_rejects_unusable_noise(noise_std):
+    with pytest.raises(DataError, match="noise_std must be finite and non-negative"):
+        data.generate_synthetic(synthetic_spec(noise_std=noise_std))
+
+
 def test_synthetic_linearly_separable_when_noiseless():
     """Least-squares one-vs-rest on flattened frames nails the train set."""
     spec = synthetic_spec(samples_per_class=5)

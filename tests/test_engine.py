@@ -1,5 +1,6 @@
 import importlib.util
 import inspect
+import json
 import tracemalloc
 from pathlib import Path
 
@@ -488,7 +489,6 @@ def test_checkpoint_header_is_json_line(tmp_path):
     eg.save_checkpoint([p], path)
     raw = path.read_bytes()
     header = raw[:raw.index(b"\n")].decode()
-    import json
     doc = json.loads(header)
     assert doc["params"][0] == {"name": "w", "shape": [4], "offset": 0}
     payload = np.frombuffer(raw[raw.index(b"\n") + 1:], dtype="<f8")
@@ -519,6 +519,11 @@ def test_load_checkpoint_checks_config(tmp_path):
     assert set(eg.load_checkpoint(bare)) == {"w"}
     with pytest.raises(ValueError, match="records no model config"):
         eg.load_checkpoint(bare, {"a": 1})
+    listed = tmp_path / "listed.ckpt"
+    header = {"format": "flat-f8-le", "params": [{"name": "w", "shape": [2], "offset": 0}], "config": [1]}
+    listed.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + np.zeros(2).tobytes())
+    with pytest.raises(ValueError, match="records no model config"):
+        eg.load_checkpoint(listed, {"a": 1})
 
 
 @pytest.mark.parametrize("cut", [5, 8])
@@ -528,6 +533,46 @@ def test_truncated_checkpoint_is_reported(tmp_path, cut):
     path.write_bytes(path.read_bytes()[:-cut])
     with pytest.raises(ValueError, match="truncated: header lists 13 values"):
         eg.load_checkpoint(path)
+
+
+def entry(name, shape, offset):
+    return {"name": name, "shape": shape, "offset": offset}
+
+
+@pytest.mark.parametrize("header, message", [
+    ([1, 2], "unrecognized checkpoint format"),
+    ({"format": "flat-f8-le", "params": 5}, "params must be a list"),
+    ({"format": "flat-f8-le"}, "params must be a list"),
+    ({"format": "flat-f8-le", "params": [5]}, "malformed params entry"),
+    ({"format": "flat-f8-le", "params": [entry("w", "ab", 0)]}, "malformed params entry"),
+    ({"format": "flat-f8-le", "params": [entry("w", [2, -2], 0)]}, "malformed params entry"),
+    ({"format": "flat-f8-le", "params": [entry("w", [2.0, 2], 0)]}, "malformed params entry"),
+    ({"format": "flat-f8-le", "params": [entry(3, [4], 0)]}, "malformed params entry"),
+    ({"format": "flat-f8-le", "params": [entry("w", [2], 0), entry("a", [2], 0)]},
+     "'a' has offset 0, expected 2"),
+    ({"format": "flat-f8-le", "params": [entry("w", [4], 1)]}, "'w' has offset 1, expected 0"),
+    ({"format": "flat-f8-le", "params": [entry("w", [4], 0.0)]}, "'w' has offset 0.0, expected 0"),
+    ({"format": "flat-f8-le", "params": [{"name": "w", "shape": [4]}]}, "'w' has offset None"),
+    ({"format": "flat-f8-le", "params": [entry("w", [2], 0), entry("w", [2], 2)]}, "name twice"),
+])
+def test_malformed_checkpoint_header_is_reported(tmp_path, header, message):
+    path = tmp_path / "c.ckpt"
+    path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + np.zeros(4).tobytes())
+    with pytest.raises(ValueError, match=message):
+        eg.load_checkpoint(path)
+    path.write_bytes(json.dumps(header).encode("utf-8"))
+    with pytest.raises(ValueError, match="has no header line"):
+        eg.load_checkpoint(path)
+
+
+def test_assign_checkpoint_copies_into_a_private_array(tmp_path):
+    path = tmp_path / "c.ckpt"
+    eg.save_checkpoint([Parameter(np.arange(4.0), "w")], path)
+    state = eg.load_checkpoint(path)
+    p = Parameter(np.zeros(4), "w")
+    eg.assign_checkpoint([p], state)
+    assert not np.shares_memory(p.data, state["w"]) and p.data.flags.writeable
+    npt.assert_array_equal(p.data, np.arange(4.0))
 
 
 def test_every_primitive_is_traced_by_the_benchmark():

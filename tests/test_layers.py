@@ -30,7 +30,7 @@ def test_cagc_matches_reference(name, strategy):
     labeling = graph.make_partition(topo, strategy)
     cagc = make_cagc(topo, labeling)
     x = np.random.default_rng(5).uniform(-1, 1, (3, topo.num_joints, 3))
-    pre = cagc.forward(x, activate=False).data
+    pre = cagc.forward(x[None], activate=False).data[0]
     ref = layers.sgc_reference(x, topo, labeling, cagc.weight.data)
     npt.assert_allclose(pre, ref, atol=1e-10)
 
@@ -43,13 +43,13 @@ def test_cagc_correlation_term_rides_on_subset_zero(name, strategy):
     cagc = make_cagc(topo, labeling)
     cagc.alpha.data = np.asarray(0.7)
     x = np.random.default_rng(5).uniform(-1, 1, (3, topo.num_joints, 3))
-    corr = cagc.correlation(x).data
+    corr = cagc.correlation(x[None]).data[0]
     mixed = x @ cagc.weight.data[0]
     adaptive = np.zeros_like(mixed)
     for c in range(mixed.shape[-1]):
         adaptive[..., c] = (corr[c] @ mixed[..., c].T).T
     expected = layers.sgc_reference(x, topo, labeling, cagc.weight.data) + 0.7 * adaptive
-    npt.assert_allclose(cagc.forward(x, activate=False).data, expected, atol=1e-10)
+    npt.assert_allclose(cagc.forward(x[None], activate=False).data[0], expected, atol=1e-10)
 
 
 def test_reference_chain_uniform_hand_computed():
@@ -90,7 +90,7 @@ def test_cagc_single_joint_identity():
     cagc = make_cagc(topo, labeling, c_in=2, c_out=2)
     cagc.weight.data[0] = np.eye(2)
     x = np.array([[[0.5, -0.3]], [[-1.0, 2.0]]])
-    out = cagc.forward(x).data
+    out = cagc.forward(x[None]).data[0]
     npt.assert_allclose(out, np.maximum(x, 0.0), atol=1e-15)
 
 
@@ -101,7 +101,7 @@ def test_cagc_uniform_equals_normalized_adjacency():
     cagc.weight.data[0] = np.eye(3)
     norm = graph.normalize_adjacency(graph.build_adjacency(topo) + np.eye(5))
     x = np.random.default_rng(0).uniform(0.1, 1.0, (4, 5, 3))
-    out = cagc.forward(x).data
+    out = cagc.forward(x[None]).data[0]
     expected = np.einsum("ij,tjc->tic", norm, x)
     npt.assert_allclose(out, expected, atol=1e-12)
 
@@ -110,8 +110,8 @@ def test_cagc_output_shape():
     topo = graph.get_topology("ntu25")
     labeling = graph.make_partition(topo, "activity")
     cagc = make_cagc(topo, labeling, c_in=3, c_out=8)
-    out = cagc.forward(np.zeros((6, 25, 3)))
-    assert out.shape == (6, 25, 8)
+    with pytest.raises(ShapeError):
+        cagc.forward(np.zeros((6, 25, 3)))
     batched = cagc.forward(np.zeros((2, 6, 25, 3)))
     assert batched.shape == (2, 6, 25, 8)
 
@@ -120,14 +120,14 @@ def test_cagc_rejects_wrong_joint_count():
     topo = graph.get_topology("toy5")
     cagc = make_cagc(topo, graph.make_partition(topo, "activity"))
     with pytest.raises(ShapeError):
-        cagc.forward(np.zeros((4, 6, 3)))
+        cagc.forward(np.zeros((1, 4, 6, 3)))
 
 
 def test_correlation_constant_for_identical_joints():
     topo = graph.get_topology("toy5")
     cagc = make_cagc(topo, graph.make_partition(topo, "activity"), c_in=3, c_out=8)
     x = np.tile(np.random.default_rng(1).uniform(-1, 1, (4, 1, 3)), (1, 5, 1))
-    corr = cagc.correlation(x).data
+    corr = cagc.correlation(x[None]).data[0]
     assert corr.shape == (8, 5, 5)
     # all pairwise differences coincide, so each channel slice is constant
     for c in range(8):
@@ -139,7 +139,7 @@ def test_correlation_zero_when_maps_coincide():
     cagc = make_cagc(topo, graph.make_partition(topo, "activity"), c_in=3, c_out=8)
     cagc.phi.data = cagc.theta.data.copy()
     x = np.tile(np.random.default_rng(2).uniform(-1, 1, (4, 1, 3)), (1, 5, 1))
-    npt.assert_allclose(cagc.correlation(x).data, 0.0, atol=1e-15)
+    npt.assert_allclose(cagc.correlation(x[None]).data, 0.0, atol=1e-15)
 
 
 def test_cagc_permutation_equivariance():
@@ -161,8 +161,8 @@ def test_cagc_permutation_equivariance():
     x = rng.uniform(-1, 1, (4, 5, 3))
     px = np.empty_like(x)
     px[:, perm, :] = x  # px[:, perm[v]] == x[:, v]
-    out = cagc.forward(x).data
-    pout = pcagc.forward(px).data
+    out = cagc.forward(x[None]).data[0]
+    pout = pcagc.forward(px[None]).data[0]
     npt.assert_allclose(pout[:, perm, :], out, atol=1e-10)
 
 
@@ -175,27 +175,38 @@ def make_stse(channels=8, spec=WindowSpec(4, 5), stride=1, seed=11):
                        stride=stride, rng=np.random.default_rng(seed))
 
 
+def spy_on_attention(monkeypatch, seen):
+    """Pass every attention ``STSE.attention`` returns to ``seen(attn)``."""
+    attention = layers.STSE.attention
+
+    def spied(self, tokens):
+        attn = attention(self, tokens)
+        seen(attn)
+        return attn
+    monkeypatch.setattr(layers.STSE, "attention", spied)
+
+
 def test_msa_uniform_attention_when_queries_vanish():
     stse = make_stse()
     stse.wq.data = np.zeros_like(stse.wq.data)
     tokens = np.random.default_rng(3).uniform(-1, 1, (20, 8))
-    out = stse.msa_window(tokens).data
+    out = stse.attend(Tensor(tokens[None, None])).data[0, 0]
     # uniform attention averages the value projections identically per row
     values = tokens @ stse.wv.data + stse.bv.data
     mean_heads = np.tile(values.mean(axis=0), (20, 1))
     expected = mean_heads @ stse.wo.data + stse.bo.data
     npt.assert_allclose(out, expected, atol=1e-12)
-    npt.assert_allclose(stse.last_attention, 1.0 / 20, atol=1e-12)
+    npt.assert_allclose(stse.attention(Tensor(tokens[None, None])).data, 1.0 / 20, atol=1e-12)
 
 
 def test_msa_single_token_window():
     stse = layers.STSE(8, WindowSpec(1, 1), heads=4, kernel=3, groups=2,
                        stride=1, rng=np.random.default_rng(5))
     token = np.random.default_rng(6).uniform(-1, 1, (1, 8))
-    out = stse.msa_window(token).data
+    out = stse.attend(Tensor(token[None, None])).data[0, 0]
     expected = (token @ stse.wv.data + stse.bv.data) @ stse.wo.data + stse.bo.data
     npt.assert_allclose(out, expected, atol=1e-12)
-    npt.assert_allclose(stse.last_attention, 1.0)
+    npt.assert_allclose(stse.attention(Tensor(token[None, None])).data, 1.0)
 
 
 def attention_loops(stse, tokens):
@@ -231,32 +242,36 @@ def test_attend_matches_per_window_per_head_loops():
     npt.assert_allclose(out, attention_loops(stse, tokens), rtol=1e-12, atol=1e-12)
 
 
-def test_attention_rows_sum_to_one():
+def test_attention_rows_sum_to_one(monkeypatch):
     stse = make_stse()
     stse.bias_tables.data = np.random.default_rng(7).standard_normal(
         stse.bias_tables.data.shape)
     x = np.random.default_rng(8).uniform(-1, 1, (8, 5, 8))
-    stse.forward(x)
-    sums = stse.last_attention.sum(axis=-1)
+    seen = []
+    spy_on_attention(monkeypatch, lambda attn: seen.append(attn.data))
+    stse.forward(x[None])
+    sums = seen[0].sum(axis=-1)
     npt.assert_allclose(sums, 1.0, atol=1e-9)
 
 
-def test_stse_shape_contract_and_window_count():
+def test_stse_shape_contract_and_window_count(monkeypatch):
     stse = layers.STSE(8, WindowSpec(4, 25), heads=4, kernel=5, groups=4,
                        stride=1, rng=np.random.default_rng(2))
     x = np.random.default_rng(3).uniform(-1, 1, (64, 25, 8))
-    out = stse.forward(x)
-    assert out.shape == (64, 25, 8)
-    assert stse.last_attention.shape[1] == 16  # windows processed per pass
+    seen = []
+    spy_on_attention(monkeypatch, lambda attn: seen.append(attn.shape))
+    out = stse.forward(x[None])
+    assert out.shape == (1, 64, 25, 8)
+    assert seen[0][1] == 16  # windows processed per pass
     assert split_windows(64, 25, WindowSpec(4, 25)).num_windows == 16
 
 
 def test_stse_stride_halves_frames():
     stse = make_stse(stride=2)
     x = np.random.default_rng(4).uniform(-1, 1, (10, 5, 8))
-    assert stse.forward(x).shape == (5, 5, 8)
+    assert stse.forward(x[None]).shape == (1, 5, 5, 8)
     x_odd = np.random.default_rng(4).uniform(-1, 1, (9, 5, 8))
-    assert stse.forward(x_odd).shape == (5, 5, 8)  # ceil(9 / 2)
+    assert stse.forward(x_odd[None]).shape == (1, 5, 5, 8)  # ceil(9 / 2)
 
 
 def test_stse_identity_configuration_is_layer_norm_of_doubled_input():
@@ -268,7 +283,7 @@ def test_stse_identity_configuration_is_layer_norm_of_doubled_input():
             w[g * 2 + i, i, 2] = 1.0  # center tap only
     stse.gtc_weight.data = w
     x = np.random.default_rng(5).uniform(-1, 1, (6, 5, 8))
-    out = stse.forward(x).data
+    out = stse.forward(x[None]).data[0]
     expected = eg.layer_norm(Tensor(2.0 * x), stse.ln_gamma, stse.ln_beta).data
     npt.assert_array_equal(out, expected)
 
@@ -276,7 +291,7 @@ def test_stse_identity_configuration_is_layer_norm_of_doubled_input():
 def test_stse_pads_then_crops_odd_lengths():
     stse = make_stse()
     x = np.random.default_rng(6).uniform(-1, 1, (5, 5, 8))
-    assert stse.forward(x).shape == (5, 5, 8)
+    assert stse.forward(x[None]).shape == (1, 5, 5, 8)
 
 
 def multi_block_input(seed=9):
@@ -345,16 +360,16 @@ def test_stgc_layer_shapes():
     rng = np.random.default_rng(1)
     same = layers.STGCLayer(8, 8, 1, topo, labeling, WindowSpec(4, 5), 4, 5, 4, rng, "l0")
     x = np.random.default_rng(2).uniform(-1, 1, (8, 5, 8))
-    assert same.forward(x).shape == (8, 5, 8)
+    assert same.forward(x[None]).shape == (1, 8, 5, 8)
     assert same.residual
 
     down = layers.STGCLayer(8, 16, 2, topo, labeling, WindowSpec(4, 5), 4, 5, 4, rng, "l1")
-    assert down.forward(x).shape == (4, 5, 16)
+    assert down.forward(x[None]).shape == (1, 4, 5, 16)
     assert not down.residual
 
     stacked = down.forward(layers.STGCLayer(
-        8, 8, 2, topo, labeling, WindowSpec(4, 5), 4, 5, 4, rng, "l2").forward(x))
-    assert stacked.shape == (2, 5, 16)  # two stride-2 layers quarter T
+        8, 8, 2, topo, labeling, WindowSpec(4, 5), 4, 5, 4, rng, "l2").forward(x[None]))
+    assert stacked.shape == (1, 2, 5, 16)  # two stride-2 layers quarter T
 
 
 def test_default_config_records_ablation_choices():
@@ -485,6 +500,48 @@ def test_predict_proba_restores_recording_after_an_error():
     with pytest.raises(ShapeError):
         model.predict_proba(np.zeros((16, 6, 3)))
     assert model.forward(np.zeros((16, 5, 3))).requires_grad
+
+
+def block_state(model):
+    """Each CAGC, STSE and STGCLayer with a copy of its attributes."""
+    blocks = [b for layer in model.layers for b in (layer, layer.cagc, layer.stse)]
+    return [(block, dict(vars(block))) for block in blocks]
+
+
+def assert_same_state(snapshot):
+    for block, attrs in snapshot:
+        now = vars(block)
+        assert now.keys() == attrs.keys(), (type(block).__name__, now.keys() ^ attrs.keys())
+        rebound = [k for k, v in attrs.items() if now[k] is not v]
+        assert not rebound, (type(block).__name__, rebound)
+
+
+def test_blocks_keep_no_state():
+    model = perturbed_model()
+    snapshot = block_state(model)
+    x = np.random.default_rng(5).uniform(-1, 1, (2, 16, 5, 3))
+    model.predict_proba(x)
+    assert_same_state(snapshot)
+    eg.cross_entropy(model.logits(x), [1, 2]).backward()
+    assert_same_state(snapshot)
+
+
+def test_attention_is_freed_once_predict_proba_returns(monkeypatch):
+    model = perturbed_model()
+    refs = []
+    spy_on_attention(monkeypatch, lambda attn: refs.append(weakref.ref(attn.data)))
+    model.predict_proba(np.random.default_rng(5).uniform(-1, 1, (2, 16, 5, 3)))
+    assert len(refs) == len(model.layers)
+    assert all(ref() is None for ref in refs)
+
+
+def test_blocks_reject_a_single_sequence():
+    layer = perturbed_model().layers[0]
+    x = np.zeros((16, 5, 16))  # one (T, V, C) sequence at layer 0's width
+    for block, fn in (("cagc", layer.cagc.forward), ("cagc", layer.cagc.correlation),
+                      ("stse", layer.stse.forward), ("layer", layer.forward)):
+        with pytest.raises(ShapeError, match=rf"{block}: expected a \(B, T, V, C\) batch"):
+            fn(x)
 
 
 # ---------------------------------------------------------------------------

@@ -58,7 +58,7 @@ def test_cagc_matches_reference_on_random_trees(topo, seed):
         labeling = graph.make_partition(topo, strategy)
         cagc = layers.CAGC(3, 4, topo, labeling, rng)
         ref = layers.sgc_reference(x, topo, labeling, cagc.weight.data)
-        npt.assert_allclose(cagc.forward(x, activate=False).data, ref, atol=1e-10)
+        npt.assert_allclose(cagc.forward(x[None], activate=False).data[0], ref, atol=1e-10)
 
 
 @st.composite
