@@ -107,10 +107,7 @@ def _resample_indices(length: int, target: int) -> np.ndarray:
     last-frame repetition when short, uniform subsampling when long."""
     if length >= target:
         return (np.arange(target) * length // target).astype(np.int64)
-    return np.concatenate([
-        np.arange(length, dtype=np.int64),
-        np.full(target - length, length - 1, dtype=np.int64),
-    ])
+    return np.minimum(np.arange(target, dtype=np.int64), length - 1)
 
 
 def preprocess(sample: SkeletonSample, target_frames: int, root_joint: int = 0) -> SkeletonSample:

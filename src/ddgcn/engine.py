@@ -621,7 +621,9 @@ def save_checkpoint(params: Iterable[Parameter], path, config: dict | None = Non
 
 
 def load_checkpoint(path, config: dict | None = None) -> dict[str, np.ndarray]:
-    """Read a checkpoint's arrays by parameter name. With ``config``, each
+    """Read a checkpoint's arrays by parameter name. The arrays are
+    read-only views into one buffer holding the data section; copy one
+    before writing to it (``assign_checkpoint`` does). With ``config``, each
     of its keys must hold the same value in the header's config, or a
     ValueError names the first key that differs."""
     with open(path, "rb") as handle:
@@ -665,12 +667,13 @@ def load_checkpoint(path, config: dict | None = None) -> dict[str, np.ndarray]:
     for entry in entries:
         shape = tuple(entry["shape"])
         start = entry["offset"]
-        out[entry["name"]] = data[start:start + math.prod(shape)].reshape(shape).astype(np.float64)
+        out[entry["name"]] = data[start:start + math.prod(shape)].reshape(shape)
     return out
 
 
 def assign_checkpoint(params: Iterable[Parameter], state: dict[str, np.ndarray]) -> None:
-    """Copy checkpoint arrays into matching parameters, verifying shapes."""
+    """Copy checkpoint arrays into matching parameters, verifying shapes;
+    each parameter gets its own writable float64 array."""
     for p in params:
         if p.name not in state:
             raise KeyError(f"checkpoint is missing parameter {p.name!r}")

@@ -3,9 +3,11 @@
 A skeleton is a directed kinematic tree: edge (i, j) means joint j moves
 around joint i (parent -> child). The adjacency matrix A has A[i, j] = 1
 exactly for those edges; convolution neighborhoods are taken under A + I.
-Partition labelings assign a subset index to every (root, neighbor) pair
-of the undirected 1-hop neighborhood plus self, which drives kernel
-weight sharing in the graph convolution.
+A partition labeling is one (V, V) int table holding the subset of neighbor
+j in root i's neighborhood (the undirected 1-hop neighborhood plus self,
+i.e. the support of A + A^T + I) and -1 elsewhere; subset k's mask, which
+drives kernel weight sharing in the graph convolution, is A + I where the
+table equals k.
 """
 
 from __future__ import annotations
@@ -49,17 +51,8 @@ class SkeletonTopology:
             raise ConfigError(f"a tree over {v} joints needs {v - 1} edges, got {len(self.edges)}")
         if self.names is not None and len(self.names) != v:
             raise ConfigError("names length must equal num_joints")
-        # V-1 edges without duplicates form a tree iff the undirected graph is connected.
-        reached = {0}
-        frontier = [0]
-        und = self.undirected_neighbors()
-        while frontier:
-            cur = frontier.pop()
-            for nxt in und[cur]:
-                if nxt not in reached:
-                    reached.add(nxt)
-                    frontier.append(nxt)
-        if len(reached) != v:
+        # V-1 edges without duplicates form a tree iff every joint is reachable from the root.
+        if (self.hops_to_root() < 0).any():
             raise ConfigError("edges do not form a connected tree")
 
     def undirected_neighbors(self) -> list[list[int]]:
@@ -70,16 +63,12 @@ class SkeletonTopology:
         return nbrs
 
     def out_degrees(self) -> np.ndarray:
-        deg = np.zeros(self.num_joints, dtype=np.int64)
-        for i, _ in self.edges:
-            deg[i] += 1
-        return deg
+        return np.bincount([i for i, _ in self.edges], minlength=self.num_joints)
 
     def parent_of(self) -> np.ndarray:
         """Parent joint id per joint, -1 at the tree root of the edge set."""
         par = np.full(self.num_joints, -1, dtype=np.int64)
-        for i, j in self.edges:
-            par[j] = i
+        par[[j for _, j in self.edges]] = [i for i, _ in self.edges]
         return par
 
     def hops_to_root(self) -> np.ndarray:
@@ -101,68 +90,62 @@ class SkeletonTopology:
 class PartitionLabeling:
     """Subset index for every (root, neighbor) pair under the chosen strategy.
 
-    ``labels`` is defined exactly on the pairs (i, j) with j in the
-    undirected 1-hop neighborhood of i, plus (i, i).
+    ``table`` is a read-only (V, V) int array: ``table[i, j]`` is the subset
+    of neighbor j in root i's neighborhood, defined exactly where j is in
+    the undirected 1-hop neighborhood of i or j == i, and -1 elsewhere.
     """
 
     strategy: str
     num_subsets: int
-    labels: dict[tuple[int, int], int]
+    table: np.ndarray
+
+    @property
+    def labels(self) -> dict[tuple[int, int], int]:
+        """The table as ``{(root, neighbor): subset}`` over its defined pairs."""
+        return {(int(i), int(j)): int(self.table[i, j]) for i, j in np.argwhere(self.table >= 0)}
 
     def label_of(self, root: int, neighbor: int) -> int:
-        return self.labels[(root, neighbor)]
+        v = len(self.table)
+        if 0 <= root < v and 0 <= neighbor < v and self.table[root, neighbor] >= 0:
+            return int(self.table[root, neighbor])
+        raise KeyError((root, neighbor))
 
 
 def build_adjacency(topology: SkeletonTopology) -> np.ndarray:
     """V x V matrix with A[i, j] = 1 exactly for directed edges i -> j."""
     a = np.zeros((topology.num_joints, topology.num_joints), dtype=np.float64)
-    for i, j in topology.edges:
-        a[i, j] = 1.0
+    a[tuple(np.array(topology.edges, dtype=np.int64).reshape(-1, 2).T)] = 1.0
     return a
 
 
-def _neighbor_pairs(topology: SkeletonTopology):
-    """Yield (root, neighbor) over undirected 1-hop neighborhoods including self."""
-    und = topology.undirected_neighbors()
-    for i in range(topology.num_joints):
-        yield i, i
-        for j in und[i]:
-            yield i, j
+def _labeling(topology: SkeletonTopology, strategy: str, num_subsets: int, labels) -> PartitionLabeling:
+    """``labels`` (broadcast to (V, V)) on the support of A + A^T + I, -1 off it."""
+    a = build_adjacency(topology)
+    table = np.where(a + a.T + np.eye(topology.num_joints) > 0, labels, -1)
+    table.setflags(write=False)
+    return PartitionLabeling(strategy, num_subsets, table)
 
 
 def uniform_partition(topology: SkeletonTopology) -> PartitionLabeling:
-    labels = {pair: 0 for pair in _neighbor_pairs(topology)}
-    return PartitionLabeling("uniform", 1, labels)
+    return _labeling(topology, "uniform", 1, 0)
 
 
 def distance_partition(topology: SkeletonTopology) -> PartitionLabeling:
-    labels = {(i, j): (0 if i == j else 1) for i, j in _neighbor_pairs(topology)}
-    return PartitionLabeling("distance", 2, labels)
+    return _labeling(topology, "distance", 2, 1 - np.eye(topology.num_joints, dtype=np.int64))
 
 
 def spatial_partition(topology: SkeletonTopology) -> PartitionLabeling:
     """Self / centripetal / centrifugal split, with hop distance to the
     designated root joint standing in for distance to the body barycenter."""
     hops = topology.hops_to_root()
-    labels = {}
-    for i, j in _neighbor_pairs(topology):
-        if i == j:
-            labels[(i, j)] = 0
-        elif hops[j] < hops[i]:
-            labels[(i, j)] = 1
-        else:
-            labels[(i, j)] = 2
-    return PartitionLabeling("spatial", 3, labels)
+    by_hops = np.where(hops[None, :] < hops[:, None], 1, 2)  # 1: neighbor j nearer the root than i
+    return _labeling(topology, "spatial", 3, np.where(np.eye(topology.num_joints, dtype=bool), 0, by_hops))
 
 
 def activity_partition(topology: SkeletonTopology) -> PartitionLabeling:
     """Subset by the neighbor's out-degree: 0 for leaves, 1 for single-child
     joints, 2 for joints driving two or more others."""
-    deg = topology.out_degrees()
-    labels = {}
-    for i, j in _neighbor_pairs(topology):
-        labels[(i, j)] = 0 if deg[j] == 0 else (1 if deg[j] == 1 else 2)
-    return PartitionLabeling("activity", 3, labels)
+    return _labeling(topology, "activity", 3, np.minimum(topology.out_degrees(), 2)[None, :])
 
 
 _PARTITION_BUILDERS = {
@@ -187,34 +170,26 @@ def partition_adjacency(a: np.ndarray, labeling: PartitionLabeling, k: int) -> n
     """
     if not 0 <= k < labeling.num_subsets:
         raise ValueError(f"subset index {k} out of range for {labeling.num_subsets} subsets")
-    v = a.shape[0]
-    full = a + np.eye(v)
-    out = np.zeros_like(full)
-    for i in range(v):
-        for j in range(v):
-            if full[i, j] != 0.0 and labeling.labels.get((i, j)) == k:
-                out[i, j] = full[i, j]
-    return out
+    return np.where(labeling.table == k, a + np.eye(a.shape[0]), 0.0)
 
 
 def normalize_adjacency(a_k: np.ndarray) -> np.ndarray:
-    """Symmetric degree normalization D^{-1/2} A D^{-1/2} with row-sum degrees.
+    """Symmetric degree normalization D^{-1/2} A D^{-1/2} with row-sum degrees,
+    over the last two axes, so a (K, V, V) stack normalizes each subset.
 
     Rows or columns whose degree is zero are mapped to zero (their D^{-1/2}
     entry is treated as 0, no epsilon).
     """
-    deg = a_k.sum(axis=1)
+    deg = a_k.sum(axis=-1)
     inv_sqrt = np.where(deg > 0, 1.0 / np.sqrt(np.where(deg > 0, deg, 1.0)), 0.0)
-    return inv_sqrt[:, None] * a_k * inv_sqrt[None, :]
+    return inv_sqrt[..., :, None] * a_k * inv_sqrt[..., None, :]
 
 
 def masked_normalized_adjacency(topology: SkeletonTopology, labeling: PartitionLabeling) -> np.ndarray:
     """Per-subset normalized adjacency stack (K, V, V) used by the graph convolution."""
-    a = build_adjacency(topology)
-    return np.stack([
-        normalize_adjacency(partition_adjacency(a, labeling, k))
-        for k in range(labeling.num_subsets)
-    ])
+    full = build_adjacency(topology) + np.eye(topology.num_joints)
+    subsets = np.arange(labeling.num_subsets)[:, None, None]
+    return normalize_adjacency(np.where(labeling.table == subsets, full, 0.0))
 
 
 # ---------------------------------------------------------------------------

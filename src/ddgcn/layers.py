@@ -368,7 +368,8 @@ class DDGCNModel:
 
 
 def bone_transform(frames: np.ndarray, topology: SkeletonTopology) -> np.ndarray:
-    """Joint coordinates -> bone vectors (child minus parent; zero at the root).
+    """Joint coordinates -> bone vectors (child minus parent; zero at the one
+    joint without a parent, which need not be the designated root).
 
     Works on (T, V, C) or any leading batch shape; invariant to global
     translation of the skeleton.
@@ -377,10 +378,8 @@ def bone_transform(frames: np.ndarray, topology: SkeletonTopology) -> np.ndarray
     if frames.shape[-2] != topology.num_joints:
         raise ShapeError(f"expected {topology.num_joints} joints, got {frames.shape[-2]}")
     parents = topology.parent_of()
-    bones = np.zeros_like(frames)
-    for j in range(topology.num_joints):
-        if parents[j] >= 0:
-            bones[..., j, :] = frames[..., j, :] - frames[..., parents[j], :]
+    bones = frames - frames[..., np.maximum(parents, 0), :]
+    bones[..., parents < 0, :] = 0.0
     return bones
 
 

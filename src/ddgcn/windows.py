@@ -42,9 +42,6 @@ class WindowLayout:
     padded time axis back onto source frames (last frame repeated).
     """
 
-    frames: int
-    num_joints: int
-    spec: WindowSpec
     padded_frames: int
     num_windows: int
     gather: np.ndarray
@@ -72,19 +69,12 @@ def split_windows(frames: int, num_joints: int, spec: WindowSpec) -> WindowLayou
     gather = (np.arange(padded * num_joints, dtype=np.int64)
               .reshape(t_blocks, m, v_blocks, n).transpose(0, 2, 1, 3).ravel())
     scatter = np.argsort(gather)
-    pad_frames = np.concatenate(
-        [np.arange(frames, dtype=np.int64),
-         np.full(padded - frames, frames - 1, dtype=np.int64)]
-    )
     return WindowLayout(
-        frames=frames,
-        num_joints=num_joints,
-        spec=spec,
         padded_frames=padded,
         num_windows=t_blocks * v_blocks,
         gather=gather,
         scatter=scatter,
-        pad_frames=pad_frames,
+        pad_frames=np.minimum(np.arange(padded, dtype=np.int64), frames - 1),
     )
 
 

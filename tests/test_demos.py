@@ -20,3 +20,19 @@ def test_demo_runs(script):
     result = subprocess.run([sys.executable, str(ROOT / "demos" / script)], env=env,
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
+
+
+CHAIN3_PARTITIONS = """\
+  uniform (K=1): (0,0)->0, (0,1)->0, (1,0)->0, (1,1)->0, (1,2)->0, (2,1)->0, (2,2)->0
+ distance (K=2): (0,0)->0, (0,1)->1, (1,0)->1, (1,1)->0, (1,2)->1, (2,1)->1, (2,2)->0
+  spatial (K=3): (0,0)->0, (0,1)->2, (1,0)->1, (1,1)->0, (1,2)->2, (2,1)->1, (2,2)->0
+ activity (K=3): (0,0)->1, (0,1)->1, (1,0)->1, (1,1)->1, (1,2)->0, (2,1)->1, (2,2)->0
+"""
+
+
+def test_demo_01_prints_the_chain3_partition_labels():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run([sys.executable, str(ROOT / "demos" / "01_topologies_and_partitions.py")],
+                            env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert CHAIN3_PARTITIONS in result.stdout

@@ -575,6 +575,19 @@ def test_assign_checkpoint_copies_into_a_private_array(tmp_path):
     npt.assert_array_equal(p.data, np.arange(4.0))
 
 
+
+def test_loaded_checkpoint_arrays_are_read_only_views_of_one_buffer(tmp_path):
+    path = tmp_path / "v.ckpt"
+    eg.save_checkpoint([Parameter(np.arange(6.0).reshape(2, 3), "w"), Parameter(np.ones(4), "b")], path)
+    state = eg.load_checkpoint(path)
+    w, b = state["w"], state["b"]
+    assert not w.flags.writeable and not b.flags.writeable
+    assert w.base is not None and w.base is b.base
+    # b starts right after w's six values in the same data section
+    assert b.__array_interface__["data"][0] - w.__array_interface__["data"][0] == 8 * w.size
+    npt.assert_array_equal(w, np.arange(6.0).reshape(2, 3))
+    npt.assert_array_equal(b, np.ones(4))
+
 def test_every_primitive_is_traced_by_the_benchmark():
     # perfbench's tracer wraps engine functions by name from outside; a primitive
     # missing from its list would drop out of the per-layer figures unnoticed

@@ -187,3 +187,53 @@ def test_unknown_names_rejected():
         graph.get_topology("nope")
     with pytest.raises(ConfigError):
         graph.make_partition(graph.get_topology("toy2"), "radial")
+
+
+def _per_pair_masks(topo, lab):
+    """The masked, normalized (K, V, V) stack built one (i, j) cell at a time,
+    the algorithm the table-based partition replaced."""
+    v = topo.num_joints
+    full = graph.build_adjacency(topo) + np.eye(v)
+    stack = []
+    for k in range(lab.num_subsets):
+        masked = np.zeros_like(full)
+        for i in range(v):
+            for j in range(v):
+                if full[i, j] != 0.0 and lab.labels.get((i, j)) == k:
+                    masked[i, j] = full[i, j]
+        deg = masked.sum(axis=1)
+        inv_sqrt = np.where(deg > 0, 1.0 / np.sqrt(np.where(deg > 0, deg, 1.0)), 0.0)
+        stack.append(inv_sqrt[:, None] * masked * inv_sqrt[None, :])
+    return np.stack(stack)
+
+
+@pytest.mark.parametrize("name", TOPOLOGY_NAMES)
+@pytest.mark.parametrize("strategy", graph.STRATEGIES)
+def test_masked_normalized_adjacency_matches_per_pair_loop(name, strategy):
+    topo = graph.get_topology(name)
+    lab = graph.make_partition(topo, strategy)
+    assert np.array_equal(graph.masked_normalized_adjacency(topo, lab), _per_pair_masks(topo, lab))
+
+
+@pytest.mark.parametrize("name", TOPOLOGY_NAMES)
+@pytest.mark.parametrize("strategy", graph.STRATEGIES)
+def test_table_is_undefined_exactly_off_the_neighborhood(name, strategy):
+    topo = graph.get_topology(name)
+    lab = graph.make_partition(topo, strategy)
+    a = graph.build_adjacency(topo)
+    support = a + a.T + np.eye(topo.num_joints) > 0
+    assert lab.table.shape == (topo.num_joints, topo.num_joints)
+    assert not lab.table.flags.writeable
+    assert np.array_equal(lab.table < 0, ~support)
+    for i, j in np.argwhere(~support):
+        with pytest.raises(KeyError):
+            lab.label_of(int(i), int(j))
+    for i, j in ((-1, 0), (0, topo.num_joints)):
+        with pytest.raises(KeyError):
+            lab.label_of(i, j)
+
+
+def test_topology_with_a_cycle_and_an_isolated_joint_is_rejected():
+    # V - 1 edges and no duplicate, but joint 3 is unreachable
+    with pytest.raises(ConfigError, match="connected tree"):
+        graph.SkeletonTopology(4, ((0, 1), (1, 2), (2, 0)), root=0)

@@ -591,3 +591,25 @@ def test_fuse_scores_laws():
                            np.argmax(layers.fuse_scores(p, q)))
     with pytest.raises(ValueError):
         layers.fuse_scores([1.0, 0.0], [1.0, 0.0, 0.0])
+
+
+CHAIN3_ROOT2 = SkeletonTopology(3, ((0, 1), (1, 2)), root=2)
+
+
+@pytest.mark.parametrize("topo", [graph.get_topology(name) for name in ("toy2", "toy5", "chain3", "ntu25")]
+                         + [CHAIN3_ROOT2], ids=["toy2", "toy5", "chain3", "ntu25", "chain3_root2"])
+def test_bone_transform_matches_per_joint_loop(topo):
+    frames = np.random.default_rng(6).uniform(-1, 1, (2, 3, topo.num_joints, 3))
+    parents = topo.parent_of()
+    expected = np.zeros_like(frames)
+    for j in range(topo.num_joints):
+        if parents[j] >= 0:
+            expected[..., j, :] = frames[..., j, :] - frames[..., parents[j], :]
+    assert np.array_equal(layers.bone_transform(frames, topo), expected)
+
+
+def test_bone_is_zero_at_the_parentless_joint_not_the_designated_root():
+    frames = np.random.default_rng(7).uniform(-1, 1, (4, 3, 3))
+    bones = layers.bone_transform(frames, CHAIN3_ROOT2)
+    npt.assert_array_equal(bones[:, 0], np.zeros((4, 3)))
+    npt.assert_array_equal(bones[:, 2], frames[:, 2] - frames[:, 1])
