@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
 """The tensor engine: reverse-mode gradients checked against finite differences.
 
-Every layer in this package runs on a small float64 tensor type that
-records a backward closure per operation. This script differentiates a
+Every layer in this package runs on a small float64 tensor type. An
+operation whose operands need a gradient gives its output a graph node with
+a backward closure, and the closure keeps only the arrays its formula
+reads. This script differentiates a
 composite expression by hand, by the engine, and by central differences,
 then runs the full layer-by-layer gradient battery.
 """

@@ -1,12 +1,14 @@
 """Minimal dense-array numerics with reverse-mode differentiation.
 
 Every value is a float64 NumPy array wrapped in a :class:`Tensor`. An op
-whose operands need a gradient records its parents and a backward closure;
-calling ``backward()`` on a scalar output walks that graph in reverse
-topological order and accumulates gradients additively into the
-:class:`Parameter` leaves. The graph is single-use: the sweep releases each
-node's gradient, closure and parents once they are spent, so afterwards a
-held output keeps only its ``data``. Inside :func:`no_tape` ops record no
+whose operands need a gradient gives its output a graph node holding the
+gradient, a backward closure and the parent nodes, but no array; each
+closure keeps only the arrays its formula reads, so an activation that no
+backward reads is freed once the layer code drops it. A :class:`Parameter`
+is its own node. ``backward()`` on a scalar output walks the nodes in
+reverse topological order and accumulates gradients additively into the
+Parameter leaves, releasing each node's gradient, closure and parents as
+it passes, so a graph is single-use. Inside :func:`no_tape` ops record no
 graph at all. All primitives raise :class:`ShapeError` on operand mismatch
 and :class:`NumericError` if they produce a non-finite value.
 
@@ -55,24 +57,73 @@ def _spent(g):
                        "run the forward again to differentiate it")
 
 
+class _Node:
+    """The graph side of a taped op output: gradient, backward closure,
+    parent nodes and shape, and no array."""
+
+    __slots__ = ("grad", "_parents", "_backward", "shape", "_axes")
+    requires_grad = True
+
+    def __init__(self, parents, backward, data: np.ndarray):
+        self.grad, self._parents, self._backward, self.shape = None, parents, backward, data.shape
+        # the axes from the largest stride down: the first gradient write
+        # follows the data's memory layout, as np.empty_like(data) would
+        self._axes = None if data.flags.c_contiguous else sorted(
+            range(data.ndim), key=lambda i: -abs(data.strides[i]))
+
+    def _empty_grad(self) -> np.ndarray:
+        if self._axes is None:
+            return np.empty(self.shape)
+        return np.empty([self.shape[i] for i in self._axes]).transpose(np.argsort(self._axes))
+
+    def _accumulate(self, g: np.ndarray) -> None:
+        if self.grad is None:
+            # copy g: add passes one array to both operands, reshape and transpose pass views
+            self.grad = self._empty_grad()
+            np.copyto(self.grad, g)
+        else:
+            self.grad += g
+
+
+class _Constant:
+    """The node of every tensor that needs no gradient: it drops what it gets."""
+
+    __slots__ = ()
+    grad = _backward = None
+    requires_grad = False
+    _parents = ()
+
+    def _accumulate(self, g: np.ndarray) -> None:
+        pass
+
+
+_CONSTANT = _Constant()
+
+
 class Tensor:
-    """A float64 array plus the bookkeeping for reverse-mode differentiation.
+    """A float64 array plus, when it needs a gradient, its graph node.
 
     ``requires_grad`` is True for a :class:`Parameter` and for an op output
-    with such an operand; only those tensors record parents and a closure.
+    with such an operand; only those outputs get a node, and ``grad``,
+    ``_parents`` and ``_backward`` read through to it.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "_graph")
 
     def __init__(self, data, _parents=(), _backward=None, _op="tensor"):
         arr = np.asarray(data, dtype=np.float64)
         if not np.all(np.isfinite(arr)):
             raise NumericError(f"non-finite values produced by {_op}")
         self.data = arr
-        self.grad: np.ndarray | None = None
-        self.requires_grad = _taping.get() and any(p.requires_grad for p in _parents)
-        self._parents = _parents if self.requires_grad else ()
-        self._backward = _backward if self.requires_grad else None
+        parents = tuple(p for p in _parents if p.requires_grad) if _taping.get() else ()
+        self._graph = _Node(parents, _backward, arr) if parents else _CONSTANT
+
+    _node = property(lambda self: self._graph)
+    requires_grad = property(lambda self: self._graph.requires_grad)
+    grad = property(lambda self: self._graph.grad)
+    _parents = property(lambda self: self._graph._parents)
+    _backward = property(lambda self: self._graph._backward,
+                         lambda self, fn: setattr(self._graph, "_backward", fn))
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -82,16 +133,6 @@ class Tensor:
     def ndim(self) -> int:
         return self.data.ndim
 
-    def _accumulate(self, g: np.ndarray) -> None:
-        if not self.requires_grad:
-            return
-        if self.grad is None:
-            # copy g: add passes one array to both operands, reshape and transpose pass views
-            self.grad = np.empty_like(self.data)
-            np.copyto(self.grad, g)
-        else:
-            self.grad += g
-
     def backward(self) -> None:
         """Reverse-mode sweep from a scalar output.
 
@@ -100,12 +141,13 @@ class Tensor:
         """
         if self.data.size != 1:
             raise ShapeError("backward requires a scalar output")
-        if not self.requires_grad:
+        root = self._node
+        if not root.requires_grad:
             raise RuntimeError("backward: the output depends on no Parameter, "
                                "or was computed inside no_tape()")
-        topo: list[Tensor] = []
-        visited = {id(self)}
-        stack: list[tuple[Tensor, Iterable[Tensor]]] = [(self, iter(self._parents))]
+        topo: list = []
+        visited = {id(root)}
+        stack: list[tuple[object, Iterable]] = [(root, iter(root._parents))]
         while stack:
             node, parents = stack[-1]
             pushed = False
@@ -118,7 +160,7 @@ class Tensor:
             if not pushed:
                 topo.append(node)
                 stack.pop()
-        self._accumulate(np.ones_like(self.data))
+        root._accumulate(np.ones_like(self.data))
         while topo:
             node = topo.pop()
             if node._backward is not None:
@@ -159,15 +201,25 @@ class Tensor:
 
 
 class Parameter(Tensor):
-    """A named trainable tensor; gradients accumulate into ``grad``."""
+    """A named trainable tensor and its own graph node: a leaf whose
+    gradients accumulate into ``grad``."""
 
-    __slots__ = ("name",)
+    __slots__ = ("name", "grad", "__weakref__")
+    requires_grad = True
+    _parents = ()
+    _backward = None
+    _accumulate = _Node._accumulate
 
     def __init__(self, value, name: str):
         super().__init__(value)
         self.name = name
-        self.requires_grad = True
         self.grad = np.zeros_like(self.data)
+
+    # a property, not a stored self-reference, which would be a reference cycle
+    _node = property(lambda self: self)
+
+    def _empty_grad(self) -> np.ndarray:
+        return np.empty_like(self.data)
 
 
 def _lift(x) -> Tensor:
@@ -195,53 +247,63 @@ def _binary_shapes(a: Tensor, b: Tensor, op: str) -> tuple[int, ...]:
 def add(a, b) -> Tensor:
     a, b = _lift(a), _lift(b)
     _binary_shapes(a, b, "add")
+    na, nb, a_shape, b_shape = a._node, b._node, a.data.shape, b.data.shape
 
     def bw(g):
-        a._accumulate(_unbroadcast(g, a.data.shape))
-        b._accumulate(_unbroadcast(g, b.data.shape))
+        na._accumulate(_unbroadcast(g, a_shape))
+        nb._accumulate(_unbroadcast(g, b_shape))
 
-    return Tensor(a.data + b.data, (a, b), bw, "add")
+    return Tensor(a.data + b.data, (na, nb), bw, "add")
 
 
 def sub(a, b) -> Tensor:
     a, b = _lift(a), _lift(b)
     _binary_shapes(a, b, "sub")
+    na, nb, a_shape, b_shape = a._node, b._node, a.data.shape, b.data.shape
 
     def bw(g):
-        a._accumulate(_unbroadcast(g, a.data.shape))
-        b._accumulate(_unbroadcast(-g, b.data.shape))
+        na._accumulate(_unbroadcast(g, a_shape))
+        nb._accumulate(_unbroadcast(-g, b_shape))
 
-    return Tensor(a.data - b.data, (a, b), bw, "sub")
+    return Tensor(a.data - b.data, (na, nb), bw, "sub")
 
 
 def mul(a, b) -> Tensor:
     a, b = _lift(a), _lift(b)
     _binary_shapes(a, b, "mul")
+    na, nb, a_shape, b_shape = a._node, b._node, a.data.shape, b.data.shape
+    # each operand's data only for the other operand's gradient
+    a_data = a.data if nb.requires_grad else None
+    b_data = b.data if na.requires_grad else None
 
     def bw(g):
-        a._accumulate(_unbroadcast(g * b.data, a.data.shape))
-        b._accumulate(_unbroadcast(g * a.data, b.data.shape))
+        if na.requires_grad:
+            na._accumulate(_unbroadcast(g * b_data, a_shape))
+        if nb.requires_grad:
+            nb._accumulate(_unbroadcast(g * a_data, b_shape))
 
-    return Tensor(a.data * b.data, (a, b), bw, "mul")
+    return Tensor(a.data * b.data, (na, nb), bw, "mul")
 
 
 def neg(a) -> Tensor:
     a = _lift(a)
+    na = a._node
 
     def bw(g):
-        a._accumulate(-g)
+        na._accumulate(-g)
 
-    return Tensor(-a.data, (a,), bw, "neg")
+    return Tensor(-a.data, (na,), bw, "neg")
 
 
 def scalar_mul(a, c: float) -> Tensor:
     a = _lift(a)
     c = float(c)
+    na = a._node
 
     def bw(g):
-        a._accumulate(c * g)
+        na._accumulate(c * g)
 
-    return Tensor(c * a.data, (a,), bw, "scalar_mul")
+    return Tensor(c * a.data, (na,), bw, "scalar_mul")
 
 
 def matmul(a, b) -> Tensor:
@@ -256,53 +318,60 @@ def matmul(a, b) -> Tensor:
         raise ShapeError(f"matmul: operands must be at least 2-D, got {a.data.shape} and {b.data.shape}")
     if a.data.shape[-1] != b.data.shape[-2]:
         raise ShapeError(f"matmul: inner dimensions differ for {a.data.shape} and {b.data.shape}")
+    na, nb, a_shape, b_shape = a._node, b._node, a.data.shape, b.data.shape
+    # each operand's data only for the other operand's gradient
+    a_data = a.data if nb.requires_grad else None
+    b_data = b.data if na.requires_grad else None
 
     if b.ndim == 2:
-        c_in, c_out = b.data.shape
-        out_shape = a.data.shape[:-1] + (c_out,)
+        c_in, c_out = b_shape
+        out_shape = a_shape[:-1] + (c_out,)
 
-        # bw rebuilds the (N, C_in) view from a.data, so the closure keeps no extra copy
+        # bw rebuilds the (N, C_in) view from a's data, so the closure keeps no extra copy
         def bw_folded(g):
             g2 = g.reshape(-1, c_out)
-            if a.requires_grad:
-                a._accumulate((g2 @ b.data.T).reshape(a.data.shape))
-            if b.requires_grad:
-                b._accumulate(a.data.reshape(-1, c_in).T @ g2)
+            if na.requires_grad:
+                na._accumulate((g2 @ b_data.T).reshape(a_shape))
+            if nb.requires_grad:
+                nb._accumulate(a_data.reshape(-1, c_in).T @ g2)
 
         out_val = (a.data.reshape(-1, c_in) @ b.data).reshape(out_shape)
-        return Tensor(out_val, (a, b), bw_folded, "matmul")
+        return Tensor(out_val, (na, nb), bw_folded, "matmul")
 
     def bw(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.data.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.data.shape))
+        if na.requires_grad:
+            na._accumulate(_unbroadcast(np.matmul(g, np.swapaxes(b_data, -1, -2)), a_shape))
+        if nb.requires_grad:
+            nb._accumulate(_unbroadcast(np.matmul(np.swapaxes(a_data, -1, -2), g), b_shape))
 
-    return Tensor(np.matmul(a.data, b.data), (a, b), bw, "matmul")
+    return Tensor(np.matmul(a.data, b.data), (na, nb), bw, "matmul")
 
 
 def tanh(a) -> Tensor:
     a = _lift(a)
-    out_val = np.tanh(a.data)
+    na, out_val = a._node, np.tanh(a.data)
 
     def bw(g):
-        a._accumulate(g * (1.0 - out_val * out_val))
+        na._accumulate(g * (1.0 - out_val * out_val))
 
-    return Tensor(out_val, (a,), bw, "tanh")
+    return Tensor(out_val, (na,), bw, "tanh")
 
 
 def relu(a) -> Tensor:
     a = _lift(a)
+    na, out_val = a._node, np.maximum(a.data, 0.0)
 
+    # out > 0 exactly where a > 0, so the input can go
     def bw(g):
-        a._accumulate(g * (a.data > 0.0))
+        na._accumulate(g * (out_val > 0.0))
 
-    return Tensor(np.maximum(a.data, 0.0), (a,), bw, "relu")
+    return Tensor(out_val, (na,), bw, "relu")
 
 
 def softmax(a) -> Tensor:
     """Softmax over the last axis, numerically stabilized."""
     a = _lift(a)
+    na = a._node
     s = a.data - a.data.max(axis=-1, keepdims=True)
     np.exp(s, out=s)
     s /= s.sum(axis=-1, keepdims=True)
@@ -312,9 +381,9 @@ def softmax(a) -> Tensor:
         inner = ds.sum(axis=-1, keepdims=True)
         np.subtract(g, inner, out=ds)
         ds *= s
-        a._accumulate(ds)
+        na._accumulate(ds)
 
-    return Tensor(s, (a,), bw, "softmax")
+    return Tensor(s, (na,), bw, "softmax")
 
 
 def layer_norm(x, gamma=None, beta=None, eps: float = 1e-8) -> Tensor:
@@ -334,19 +403,21 @@ def layer_norm(x, gamma=None, beta=None, eps: float = 1e-8) -> Tensor:
     out_val = xhat if gamma is None else gamma.data * xhat
     if beta is not None:
         out_val = out_val + beta.data
-    parents = (x,) + tuple(p for p in (gamma, beta) if p is not None)
-    reduce_axes = tuple(range(x.data.ndim - 1))
+    nx, reduce_axes = x._node, tuple(range(x.data.ndim - 1))
+    gamma_data, ngamma = (None, None) if gamma is None else (gamma.data, gamma._node)
+    nbeta = None if beta is None else beta._node
 
     def bw(g):
-        gh = g if gamma is None else g * gamma.data
+        gh = g if gamma_data is None else g * gamma_data
         dx = inv * (gh - gh.mean(axis=-1, keepdims=True)
                     - xhat * (gh * xhat).mean(axis=-1, keepdims=True))
-        x._accumulate(dx)
-        if gamma is not None:
-            gamma._accumulate((g * xhat).sum(axis=reduce_axes))
-        if beta is not None:
-            beta._accumulate(g.sum(axis=reduce_axes))
+        nx._accumulate(dx)
+        if ngamma is not None:
+            ngamma._accumulate((g * xhat).sum(axis=reduce_axes))
+        if nbeta is not None:
+            nbeta._accumulate(g.sum(axis=reduce_axes))
 
+    parents = tuple(n for n in (nx, ngamma, nbeta) if n is not None)
     return Tensor(out_val, parents, bw, "layer_norm")
 
 
@@ -358,12 +429,14 @@ def mean_pool(a, axis) -> Tensor:
     count = 1
     for ax in axes:
         count *= a.data.shape[ax]
+    na, a_shape = a._node, a.data.shape
 
+    # the first write copies and += broadcasts, so the view needs no copy of its own
     def bw(g):
         gg = np.expand_dims(g, tuple(sorted(axes)))
-        a._accumulate(np.broadcast_to(gg / count, a.data.shape).copy())
+        na._accumulate(np.broadcast_to(gg / count, a_shape))
 
-    return Tensor(a.data.mean(axis=axes), (a,), bw, "mean_pool")
+    return Tensor(a.data.mean(axis=axes), (na,), bw, "mean_pool")
 
 
 def temporal_conv(x, weight, groups: int, stride: int = 1) -> Tensor:
@@ -404,22 +477,26 @@ def temporal_conv(x, weight, groups: int, stride: int = 1) -> Tensor:
         return (windows.reshape(b, t_out, v, groups, c_in_g, kernel)
                 .transpose(3, 0, 1, 2, 4, 5).reshape(groups, n, c_in_g * kernel))
 
-    # bw rebuilds the columns from x.data: keeping them, or the padded input,
+    nx, nw = x._node, weight._node
+    x_data = x.data if nw.requires_grad else None
+    w_data = wg if nx.requires_grad else None
+
+    # bw rebuilds the columns from x's data: keeping them, or the padded input,
     # would hold one more activation-sized array per layer until backward
     def bw(g):
         go = g.reshape(n, groups, c_out_g).transpose(1, 0, 2)
-        if weight.requires_grad:
-            dw = np.matmul(go.transpose(0, 2, 1), columns(x.data))
-            weight._accumulate(dw.reshape(c_out, c_in_g, kernel))
-        if x.requires_grad:
-            dcols = np.matmul(go, wg).reshape(groups, b, t_out, v, c_in_g, kernel)
+        if nw.requires_grad:
+            dw = np.matmul(go.transpose(0, 2, 1), columns(x_data))
+            nw._accumulate(dw.reshape(c_out, c_in_g, kernel))
+        if nx.requires_grad:
+            dcols = np.matmul(go, w_data).reshape(groups, b, t_out, v, c_in_g, kernel)
             dpadded = np.zeros((b, t + pad_total, v, groups, c_in_g))
             for k in range(kernel):
                 dpadded[:, k:k + stride * (t_out - 1) + 1:stride] += dcols[..., k].transpose(1, 2, 3, 0, 4)
-            x._accumulate(dpadded.reshape(b, t + pad_total, v, c_in)[:, pad_left:pad_left + t])
+            nx._accumulate(dpadded.reshape(b, t + pad_total, v, c_in)[:, pad_left:pad_left + t])
 
     out_val = np.matmul(columns(x.data), wg.transpose(0, 2, 1))
-    return Tensor(out_val.transpose(1, 0, 2).reshape(b, t_out, v, c_out), (x, weight), bw, "temporal_conv")
+    return Tensor(out_val.transpose(1, 0, 2).reshape(b, t_out, v, c_out), (nx, nw), bw, "temporal_conv")
 
 
 def gather(table, index: np.ndarray) -> Tensor:
@@ -438,13 +515,14 @@ def gather(table, index: np.ndarray) -> Tensor:
         raise ShapeError(f"gather: table must be 1-D or 2-D, got {table.data.shape}")
     if idx.size and (idx.min() < 0 or idx.max() >= table.data.shape[-1]):
         raise ShapeError("gather: index out of table range")
+    nt, table_shape = table._node, table.data.shape
 
     def bw(g):
-        dt = np.zeros_like(table.data)
+        dt = np.zeros(table_shape)
         np.add.at(dt, (..., idx), g)
-        table._accumulate(dt)
+        nt._accumulate(dt)
 
-    return Tensor(out_val, (table,), bw, "gather")
+    return Tensor(out_val, (nt,), bw, "gather")
 
 
 def take(a, indices: np.ndarray, axis: int = 0) -> Tensor:
@@ -461,13 +539,14 @@ def take(a, indices: np.ndarray, axis: int = 0) -> Tensor:
     axis = axis % a.ndim
     if idx.size and (idx.min() < 0 or idx.max() >= a.data.shape[axis]):
         raise ShapeError(f"take: index out of range for axis {axis} with size {a.data.shape[axis]}")
+    na, a_shape = a._node, a.data.shape
 
     def bw(g):
-        da = np.zeros_like(a.data)
+        da = np.zeros(a_shape)
         np.add.at(da, (slice(None),) * axis + (idx,), g)
-        a._accumulate(da)
+        na._accumulate(da)
 
-    return Tensor(np.take(a.data, idx, axis=axis), (a,), bw, "take")
+    return Tensor(np.take(a.data, idx, axis=axis), (na,), bw, "take")
 
 
 def reshape(a, shape) -> Tensor:
@@ -476,22 +555,24 @@ def reshape(a, shape) -> Tensor:
         out_val = a.data.reshape(shape)
     except ValueError as exc:
         raise ShapeError(f"reshape: cannot view {a.data.shape} as {shape}") from exc
+    na, a_shape = a._node, a.data.shape
 
     def bw(g):
-        a._accumulate(g.reshape(a.data.shape))
+        na._accumulate(g.reshape(a_shape))
 
-    return Tensor(out_val, (a,), bw, "reshape")
+    return Tensor(out_val, (na,), bw, "reshape")
 
 
 def transpose(a, axes) -> Tensor:
     a = _lift(a)
     axes = tuple(axes)
     inverse = tuple(np.argsort(axes))
+    na = a._node
 
     def bw(g):
-        a._accumulate(g.transpose(inverse))
+        na._accumulate(g.transpose(inverse))
 
-    return Tensor(a.data.transpose(axes), (a,), bw, "transpose")
+    return Tensor(a.data.transpose(axes), (na,), bw, "transpose")
 
 
 def cross_entropy(logits, labels) -> Tensor:
@@ -516,14 +597,15 @@ def cross_entropy(logits, labels) -> Tensor:
     logsum = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     log_probs = shifted - logsum
     loss = -log_probs[np.arange(n), y].mean()
+    nl, logits_shape = logits._node, logits.data.shape
 
     def bw(g):
         dz = np.exp(log_probs)
         dz[np.arange(n), y] -= 1.0
         dz *= float(g) / n
-        logits._accumulate(dz.reshape(logits.data.shape))
+        nl._accumulate(dz.reshape(logits_shape))
 
-    return Tensor(loss, (logits,), bw, "cross_entropy")
+    return Tensor(loss, (nl,), bw, "cross_entropy")
 
 
 def zero_grads(params: Iterable[Parameter]) -> None:
@@ -657,12 +739,13 @@ def load_checkpoint(path, config: dict | None = None) -> dict[str, np.ndarray]:
         total += math.prod(entry["shape"])
     if len({entry["name"] for entry in entries}) != len(entries):
         raise ValueError(f"checkpoint {path} lists a parameter name twice")
-    body = raw[nl + 1:]
-    if len(body) != 8 * total:
-        problem = "is truncated" if len(body) < 8 * total else "has trailing bytes"
+    size = len(raw) - nl - 1
+    if size != 8 * total:
+        problem = "is truncated" if size < 8 * total else "has trailing bytes"
         raise ValueError(f"checkpoint {path} {problem}: header lists {total} values, "
-                         f"the data section holds {len(body)} bytes")
-    data = np.frombuffer(body, dtype="<f8")
+                         f"the data section holds {size} bytes")
+    # a view past the header, not a slice: slicing bytes would copy the data section
+    data = np.frombuffer(raw, dtype="<f8", offset=nl + 1)
     out = {}
     for entry in entries:
         shape = tuple(entry["shape"])

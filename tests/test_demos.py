@@ -1,6 +1,8 @@
 """Smoke test: the quick demos run to completion.
 
-Demos 03 (about 12 s) and 04 (about a minute) are left to be run by hand.
+Demo 03 (about 10 s) runs once, for its gradient-accumulation and checkpoint
+round-trip lines and its full toy5 gradient battery through the public API.
+Demo 04 (about a minute) is left to be run by hand.
 """
 
 import os
@@ -36,3 +38,13 @@ def test_demo_01_prints_the_chain3_partition_labels():
                             env=env, capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     assert CHAIN3_PARTITIONS in result.stdout
+
+
+def test_demo_03_accumulates_gradients_and_round_trips_a_checkpoint():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run([sys.executable, str(ROOT / "demos" / "03_autodiff_and_gradcheck.py")],
+                            env=env, capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    assert "two passes give twice the gradient: True" in result.stdout
+    assert "payload round-trips exactly: True" in result.stdout
+    assert "all within 1e-4: True" in result.stdout

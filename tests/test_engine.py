@@ -2,6 +2,7 @@ import importlib.util
 import inspect
 import json
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -448,6 +449,60 @@ def test_no_tape_keeps_checks_and_restores_recording_on_error():
                 eg.scalar_mul(Tensor(np.array(1e308)), 1e10)
     out = eg.mul(p, p)
     assert out.requires_grad and out._parents == (p, p)
+
+
+def test_tape_keeps_only_what_backward_reads():
+    q = Parameter(rng.standard_normal((2, 3, 4)), "q")
+    k = Parameter(rng.standard_normal((2, 4, 3)), "k")
+    bias = Parameter(rng.standard_normal((3, 3)), "bias")
+    r = rng.standard_normal((2, 3, 3))
+
+    def f():
+        return weighted_sum(eg.softmax(q @ k + bias), r)
+
+    eg.zero_grads([q, k, bias])
+    scores = q @ k
+    total = scores + bias
+    probs = eg.softmax(total)
+    out = weighted_sum(probs, r)
+    refs = [weakref.ref(t.data) for t in (scores, total, probs)]
+    del scores, total, probs
+    # the add reads no operand and softmax reads only its own output
+    assert refs[0]() is None and refs[1]() is None
+    assert refs[2]() is not None
+    out.backward()
+    assert refs[2]() is None
+    for p in (q, k, bias):
+        assert eg.relative_error(p.grad, eg.finite_difference_grad(f, p)) <= GRAD_TOL
+
+    x = Parameter(rng.uniform(0.5, 1.5, (3, 4)) * rng.choice([-1.0, 1.0], (3, 4)), "x")
+    pre = eg.scalar_mul(x, 2.0)
+    act = eg.relu(pre)
+    out = weighted_sum(act, rng.standard_normal((3, 4)))
+    pre_ref, act_ref = weakref.ref(pre.data), weakref.ref(act.data)
+    del pre, act
+    assert pre_ref() is None and act_ref() is not None  # relu masks by its output
+    out.backward()
+    assert act_ref() is None
+
+
+def test_taped_chain_memory_is_flat():
+    p = Parameter(rng.standard_normal(1 << 17), "p")  # 1 MB
+    array_mb = p.data.nbytes / 1e6
+    tracemalloc.start()
+    try:
+        h = p
+        for _ in range(10):
+            h = eg.scalar_mul(eg.add(h, p), 0.5)  # stays equal to p
+        loss = eg.mean_pool(h, axis=0)
+        del h
+        loss.backward()
+        peak_mb = tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+    # the 20 intermediates no backward reads are freed as the chain goes
+    assert peak_mb < 5 * array_mb, peak_mb
+    npt.assert_allclose(p.grad, 1.0 / p.data.size, rtol=1e-12)
 
 
 def test_forward_determinism():

@@ -1,3 +1,4 @@
+import gc
 import json
 import weakref
 
@@ -500,6 +501,18 @@ def test_predict_proba_restores_recording_after_an_error():
     with pytest.raises(ShapeError):
         model.predict_proba(np.zeros((16, 6, 3)))
     assert model.forward(np.zeros((16, 5, 3))).requires_grad
+
+
+def test_parameters_hold_no_reference_cycle():
+    gc.disable()
+    try:
+        model = layers.DDGCNModel(reduced_config(), seed=0)
+        refs = [weakref.ref(p) for p in (model.embed_w, model.layers[0].cagc.weight, model.head_b)]
+        del model
+        # freed by reference counting alone, with the cyclic collector off
+        assert all(ref() is None for ref in refs)
+    finally:
+        gc.enable()
 
 
 def block_state(model):
