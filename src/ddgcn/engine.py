@@ -100,6 +100,13 @@ class _Constant:
 _CONSTANT = _Constant()
 
 
+def _finite(data, op: str) -> np.ndarray:
+    arr = np.asarray(data, dtype=np.float64)
+    if not np.all(np.isfinite(arr)):
+        raise NumericError(f"non-finite values produced by {op}")
+    return arr
+
+
 class Tensor:
     """A float64 array plus, when it needs a gradient, its graph node.
 
@@ -111,10 +118,7 @@ class Tensor:
     __slots__ = ("data", "_graph")
 
     def __init__(self, data, _parents=(), _backward=None, _op="tensor"):
-        arr = np.asarray(data, dtype=np.float64)
-        if not np.all(np.isfinite(arr)):
-            raise NumericError(f"non-finite values produced by {_op}")
-        self.data = arr
+        self.data = arr = _finite(data, _op)
         parents = tuple(p for p in _parents if p.requires_grad) if _taping.get() else ()
         self._graph = _Node(parents, _backward, arr) if parents else _CONSTANT
 
@@ -125,13 +129,8 @@ class Tensor:
     _backward = property(lambda self: self._graph._backward,
                          lambda self, fn: setattr(self._graph, "_backward", fn))
 
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.data.shape
-
-    @property
-    def ndim(self) -> int:
-        return self.data.ndim
+    shape = property(lambda self: self.data.shape)
+    ndim = property(lambda self: self.data.ndim)
 
     def backward(self) -> None:
         """Reverse-mode sweep from a scalar output.
@@ -204,14 +203,15 @@ class Parameter(Tensor):
     """A named trainable tensor and its own graph node: a leaf whose
     gradients accumulate into ``grad``."""
 
-    __slots__ = ("name", "grad", "__weakref__")
+    __slots__ = ("name", "grad")
     requires_grad = True
     _parents = ()
     _backward = None
     _accumulate = _Node._accumulate
 
     def __init__(self, value, name: str):
-        super().__init__(value)
+        # no Tensor.__init__: a Parameter is its own node and leaves _graph unset
+        self.data = _finite(value, "tensor")
         self.name = name
         self.grad = np.zeros_like(self.data)
 

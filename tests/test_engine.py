@@ -306,6 +306,26 @@ def test_temporal_conv_skips_constant_input_adjoint():
     npt.assert_array_equal(w.grad, expected)
 
 
+def test_constant_operands_of_matmul_and_temporal_conv_get_no_adjoint(monkeypatch):
+    # every constant operand's node is the shared sink, so count calls into it
+    sunk = []
+    monkeypatch.setattr(eg._Constant, "_accumulate", lambda self, g: sunk.append(g.shape))
+    Tensor(np.zeros(2))._node._accumulate(np.zeros(2))
+    assert sunk == [(2,)]
+    sunk.clear()
+
+    a = Parameter(rng.standard_normal((2, 3, 4)), "a")
+    w = rng.standard_normal((4, 5))
+    r = rng.standard_normal((2, 3, 5))
+    weighted_sum(a @ Tensor(w), r).backward()
+    npt.assert_allclose(a.grad, r @ w.T, rtol=1e-12)
+
+    data = rng.standard_normal((2, 5, 3, 4))
+    cw = Parameter(rng.standard_normal((4, 2, 3)), "cw")
+    weighted_sum(eg.temporal_conv(Tensor(data), cw, 2, 2), rng.standard_normal((2, 3, 3, 4))).backward()
+    assert sunk == []
+
+
 def test_grad_gather():
     table = Parameter(rng.standard_normal((4, 21)), "table")
     idx = rng.integers(0, 21, size=(6, 6))
