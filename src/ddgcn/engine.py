@@ -8,9 +8,12 @@ backward reads is freed once the layer code drops it. A :class:`Parameter`
 is its own node. ``backward()`` on a scalar output walks the nodes in
 reverse topological order and accumulates gradients additively into the
 Parameter leaves, releasing each node's gradient, closure and parents as
-it passes, so a graph is single-use. Inside :func:`no_tape` ops record no
-graph at all. All primitives raise :class:`ShapeError` on operand mismatch
-and :class:`NumericError` if they produce a non-finite value.
+it passes, so a graph is single-use. A closure hands each array it passes
+on to one node only, which may keep it as its gradient, so closures also
+compute in place in the gradient they are given. Inside :func:`no_tape`
+ops record no graph at all. All primitives raise :class:`ShapeError` on
+operand mismatch and :class:`NumericError` if they produce a non-finite
+value.
 
 A central finite-difference oracle (:func:`finite_difference_grad`) is
 provided for checking the recorded adjoints.
@@ -77,12 +80,17 @@ class _Node:
         return np.empty([self.shape[i] for i in self._axes]).transpose(np.argsort(self._axes))
 
     def _accumulate(self, g: np.ndarray) -> None:
-        if self.grad is None:
-            # copy g: add passes one array to both operands, reshape and transpose pass views
+        """Add ``g`` into the gradient. A first write keeps ``g`` itself if
+        it is writeable and laid out as ``_empty_grad()`` would be, and
+        copies it otherwise. So a closure hands each array to one node only
+        and never touches it again; a read-only view may be shared."""
+        if self.grad is not None:
+            self.grad += g
+        elif g.flags.writeable and g.transpose(self._axes or range(g.ndim)).flags.c_contiguous:
+            self.grad = g
+        else:
             self.grad = self._empty_grad()
             np.copyto(self.grad, g)
-        else:
-            self.grad += g
 
 
 class _Constant:
@@ -206,8 +214,8 @@ class Parameter(Tensor):
     __slots__ = ("name", "grad")
     requires_grad = True
     _parents = ()
-    _backward = None
-    _accumulate = _Node._accumulate
+    _backward = _axes = None
+    _accumulate, _empty_grad = _Node._accumulate, _Node._empty_grad
 
     def __init__(self, value, name: str):
         # no Tensor.__init__: a Parameter is its own node and leaves _graph unset
@@ -217,9 +225,6 @@ class Parameter(Tensor):
 
     # a property, not a stored self-reference, which would be a reference cycle
     _node = property(lambda self: self)
-
-    def _empty_grad(self) -> np.ndarray:
-        return np.empty_like(self.data)
 
 
 def _lift(x) -> Tensor:
@@ -251,7 +256,9 @@ def add(a, b) -> Tensor:
 
     def bw(g):
         na._accumulate(_unbroadcast(g, a_shape))
-        nb._accumulate(_unbroadcast(g, b_shape))
+        gb = _unbroadcast(g, b_shape)
+        # a may have kept g: b gets a read-only view and copies it if it would keep it
+        nb._accumulate(np.broadcast_to(gb, b_shape) if na.requires_grad else gb)
 
     return Tensor(a.data + b.data, (na, nb), bw, "add")
 
@@ -290,7 +297,7 @@ def neg(a) -> Tensor:
     na = a._node
 
     def bw(g):
-        na._accumulate(-g)
+        na._accumulate(np.negative(g, out=g))
 
     return Tensor(-a.data, (na,), bw, "neg")
 
@@ -301,7 +308,7 @@ def scalar_mul(a, c: float) -> Tensor:
     na = a._node
 
     def bw(g):
-        na._accumulate(c * g)
+        na._accumulate(np.multiply(g, c, out=g))
 
     return Tensor(c * a.data, (na,), bw, "scalar_mul")
 
@@ -352,7 +359,7 @@ def tanh(a) -> Tensor:
     na, out_val = a._node, np.tanh(a.data)
 
     def bw(g):
-        na._accumulate(g * (1.0 - out_val * out_val))
+        na._accumulate(np.multiply(g, 1.0 - out_val * out_val, out=g))
 
     return Tensor(out_val, (na,), bw, "tanh")
 
@@ -363,7 +370,7 @@ def relu(a) -> Tensor:
 
     # out > 0 exactly where a > 0, so the input can go
     def bw(g):
-        na._accumulate(g * (out_val > 0.0))
+        na._accumulate(np.multiply(g, out_val > 0.0, out=g))
 
     return Tensor(out_val, (na,), bw, "relu")
 
@@ -377,11 +384,10 @@ def softmax(a) -> Tensor:
     s /= s.sum(axis=-1, keepdims=True)
 
     def bw(g):
-        ds = g * s
-        inner = ds.sum(axis=-1, keepdims=True)
-        np.subtract(g, inner, out=ds)
-        ds *= s
-        na._accumulate(ds)
+        inner = (g * s).sum(axis=-1, keepdims=True)
+        g -= inner
+        g *= s
+        na._accumulate(g)
 
     return Tensor(s, (na,), bw, "softmax")
 
@@ -431,7 +437,7 @@ def mean_pool(a, axis) -> Tensor:
         count *= a.data.shape[ax]
     na, a_shape = a._node, a.data.shape
 
-    # the first write copies and += broadcasts, so the view needs no copy of its own
+    # the view is read-only, so the first write copies it and += broadcasts it
     def bw(g):
         gg = np.expand_dims(g, tuple(sorted(axes)))
         na._accumulate(np.broadcast_to(gg / count, a_shape))
@@ -530,7 +536,8 @@ def take(a, indices: np.ndarray, axis: int = 0) -> Tensor:
 
     Repeated indices are allowed; their gradients accumulate into the
     shared source entry, which makes this the building block for padding,
-    cropping, strided subsampling and window permutations.
+    cropping, strided subsampling and window permutations. An index with
+    one positive step (a crop or a subsample) selects a view.
     """
     a = _lift(a)
     idx = np.asarray(indices, dtype=np.int64)
@@ -540,13 +547,20 @@ def take(a, indices: np.ndarray, axis: int = 0) -> Tensor:
     if idx.size and (idx.min() < 0 or idx.max() >= a.data.shape[axis]):
         raise ShapeError(f"take: index out of range for axis {axis} with size {a.data.shape[axis]}")
     na, a_shape = a._node, a.data.shape
+    step = int(idx[1] - idx[0]) if idx.size > 1 else 1
+    # a constant positive step is a basic slice: a view forward, one assignment backward
+    sliced = idx.size > 0 and step > 0 and bool(np.all(np.diff(idx) == step))
+    key = (slice(None),) * axis + (slice(int(idx[0]), int(idx[-1]) + 1, step) if sliced else idx,)
 
     def bw(g):
         da = np.zeros(a_shape)
-        np.add.at(da, (slice(None),) * axis + (idx,), g)
+        if sliced:
+            da[key] = g
+        else:  # repeated indices add up
+            np.add.at(da, key, g)
         na._accumulate(da)
 
-    return Tensor(np.take(a.data, idx, axis=axis), (na,), bw, "take")
+    return Tensor(a.data[key] if sliced else np.take(a.data, idx, axis=axis), (na,), bw, "take")
 
 
 def reshape(a, shape) -> Tensor:

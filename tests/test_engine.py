@@ -346,6 +346,21 @@ def test_grad_take():
     check_grads(lambda: weighted_sum(eg.take(x, idx0, axis=0), r0), [x])
 
 
+def test_take_of_a_constant_step_is_a_view():
+    x = Parameter(rng.standard_normal((4, 7, 3)), "x")
+    r = rng.standard_normal((4, 7, 3))
+    for idx, view in (([1, 3, 5], True), ([2], True), ([0, 1, 2, 3, 4, 5, 6], True),
+                      ([1, 1, 2], False), ([5, 3, 1], False), ([0, 2, 3], False)):
+        out = eg.take(x, np.array(idx), axis=1)
+        assert np.shares_memory(out.data, x.data) == view, idx
+        npt.assert_array_equal(out.data, np.take(x.data, idx, axis=1))
+        eg.zero_grads([x])
+        weighted_sum(eg.take(x, np.array(idx), axis=1), r[:, :len(idx)]).backward()
+        expected = np.zeros_like(x.data)
+        np.add.at(expected, (slice(None), np.array(idx)), r[:, :len(idx)])
+        npt.assert_array_equal(x.grad, expected)
+
+
 def test_grad_reshape_transpose():
     x = Parameter(rng.uniform(-1, 1, (2, 3, 4)), "x")
     r = rng.standard_normal((4, 6))
@@ -523,6 +538,93 @@ def test_taped_chain_memory_is_flat():
     # the 20 intermediates no backward reads are freed as the chain goes
     assert peak_mb < 5 * array_mb, peak_mb
     npt.assert_allclose(p.grad, 1.0 / p.data.size, rtol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Gradient ownership: a closure hands each array to one node
+# ---------------------------------------------------------------------------
+
+def test_add_gives_each_operand_its_own_gradient():
+    # both scalar_mul nodes compute in place in the gradient they get, so a
+    # gradient shared between them would scale p's by 3 as well as 2
+    p = Parameter(rng.standard_normal((3, 4)), "p")
+    q = Parameter(rng.standard_normal((3, 4)), "q")
+    r = rng.standard_normal((3, 4))
+    weighted_sum(eg.scalar_mul(p, 2.0) + eg.scalar_mul(q, 3.0), r).backward()
+    npt.assert_array_equal(p.grad, 2.0 * r)
+    npt.assert_array_equal(q.grad, 3.0 * r)
+
+
+def test_gradients_of_reused_interior_nodes():
+    p = Parameter(rng.uniform(-1, 1, (3, 4)), "p")
+    r = rng.standard_normal((3, 4))
+
+    def run(graph):
+        eg.zero_grads([p])
+        weighted_sum(graph(eg.scalar_mul(p, 1.5)), r).backward()
+        return p.grad
+
+    npt.assert_array_equal(run(lambda h: h + h), 3.0 * r)
+    npt.assert_array_equal(run(lambda h: h - h), np.zeros((3, 4)))
+    npt.assert_allclose(run(lambda h: eg.tanh(h) - h), 1.5 * r * (-np.tanh(1.5 * p.data) ** 2), rtol=1e-12)
+    npt.assert_allclose(run(lambda h: eg.tanh(h) - eg.neg(h) + h), 1.5 * r * (3.0 - np.tanh(1.5 * p.data) ** 2),
+                        rtol=1e-12)
+
+
+def test_gradients_through_broadcast_views_and_layout_changes():
+    x = Parameter(rng.uniform(-1, 1, (2, 3, 4)), "x")
+    bias = Parameter(rng.uniform(-1, 1, (4,)), "bias")
+    r = rng.standard_normal((2, 3, 4))
+    r2 = rng.standard_normal((2, 4))
+
+    def bias_add():
+        h = eg.scalar_mul(x, 0.5)
+        return weighted_sum(eg.relu(eg.tanh(h + bias) + h), r)
+
+    def pooled():
+        h = eg.tanh(x)
+        return weighted_sum(eg.mean_pool(h, axis=1) + eg.mean_pool(eg.neg(h), axis=1), r2)
+
+    def view_chain():
+        h = eg.transpose(eg.scalar_mul(x, 2.0), (2, 0, 1))
+        flat = eg.reshape(eg.tanh(h), (4, 6))
+        back = eg.transpose(eg.reshape(eg.neg(flat), (4, 2, 3)), (1, 2, 0))
+        return weighted_sum(back + eg.transpose(h, (1, 2, 0)), r)
+
+    check_grads(bias_add, [x, bias])
+    check_grads(pooled, [x])
+    check_grads(view_chain, [x])
+
+
+def test_gradient_of_a_padded_temporal_conv_chain():
+    x = Parameter(rng.uniform(-1, 1, (2, 5, 3, 4)), "x")
+    w = Parameter(rng.uniform(-0.5, 0.5, (4, 2, 3)), "w")
+    r = rng.standard_normal((2, 5, 3, 4))
+
+    def f():
+        h = eg.scalar_mul(x, 1.5)
+        return weighted_sum(eg.tanh(eg.temporal_conv(h, w, 2, 1)) + h, r)
+
+    check_grads(f, [x, w])
+
+
+def test_backward_through_in_place_closures_allocates_no_second_array():
+    p = Parameter(rng.standard_normal((1000, 1000)), "p")
+    h = eg.scalar_mul(p, 1.0)  # an interior tensor
+    for _ in range(6):
+        h = eg.relu(eg.neg(eg.scalar_mul(h, -2.0)))
+    loss = eg.mean_pool(h, axis=(0, 1))
+    del h
+    array_mb = p.data.nbytes / 1e6
+    tracemalloc.start()
+    try:
+        loss.backward()
+        peak_mb = tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+    # mean_pool's broadcast copy is the one full array; relu adds a boolean mask
+    assert peak_mb < 2 * array_mb, peak_mb
+    npt.assert_array_equal(p.grad, np.where(p.data > 0, 64.0 / p.data.size, 0.0))
 
 
 def test_forward_determinism():

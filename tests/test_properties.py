@@ -1,12 +1,16 @@
 """Property tests: on random trees, the partition laws and the stacked
 subset layout of CAGC for every partition strategy; on random lengths,
-preprocessing; on random grids, the window tiling."""
+preprocessing; on random grids, the window tiling; on random graphs of
+engine ops that reuse their nodes, reverse-mode gradients."""
+
+import functools
 
 import numpy as np
 import numpy.testing as npt
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from ddgcn import data, graph, layers
+from ddgcn import data, engine as eg, graph, layers
+from ddgcn.checks import weighted_sum
 from ddgcn.graph import SkeletonTopology
 from ddgcn.windows import WindowSpec, split_windows
 
@@ -95,3 +99,57 @@ def test_windows_tile_the_padded_grid(frames, m, n, joint_blocks):
     t_of, v_of = windows // v, windows % v
     window = np.arange(layout.num_windows)[:, None]
     npt.assert_array_equal(t_of // m * joint_blocks + v_of // n, np.broadcast_to(window, windows.shape))
+
+
+# each op maps one or two (4, 4) nodes to a (4, 4) node; the shuffle and the
+# transpose hand non-contiguous gradients back, mean_pool a read-only broadcast
+UNARY = {
+    "neg": eg.neg,
+    "scalar_mul": lambda a: eg.scalar_mul(a, -1.5),
+    "tanh": eg.tanh,
+    "relu": eg.relu,
+    "transpose": lambda a: eg.transpose(a, (1, 0)),
+    "shuffle": lambda a: eg.reshape(eg.transpose(eg.reshape(a, (2, 2, 4)), (1, 0, 2)), (4, 4)),
+}
+BINARY = {
+    "add": eg.add,
+    "sub": eg.sub,
+    "mul": eg.mul,
+    "mean_pool": lambda a, b: eg.add(a, eg.reshape(eg.mean_pool(b, axis=1), (4, 1))),
+}
+
+
+@st.composite
+def op_graphs(draw):
+    """A list of (op, i, j): op reads nodes i and j of the pool built so far,
+    which starts as two Parameters, so nodes are read more than once."""
+    ops = []
+    for k in range(draw(st.integers(1, 10))):
+        name = draw(st.sampled_from(sorted(UNARY) + sorted(BINARY)))
+        ops.append((name, draw(st.integers(0, k + 1)), draw(st.integers(0, k + 1))))
+    return ops
+
+
+@PROPERTIES
+@given(op_graphs(), st.integers(0, 2**32 - 1))
+def test_gradients_of_random_op_graphs_with_reused_nodes(ops, seed):
+    rng = np.random.default_rng(seed)
+    params = [eg.Parameter(rng.uniform(-1, 1, (4, 4)), name) for name in ("p", "q")]
+    weights = rng.standard_normal((len(ops) + 2, 4, 4))
+    relu_inputs = []
+
+    def f():
+        pool = list(params)
+        for name, i, j in ops:
+            if name == "relu":
+                relu_inputs.append(pool[i].data)
+            pool.append(UNARY[name](pool[i]) if name in UNARY else BINARY[name](pool[i], pool[j]))
+        # every node gets a consumer, and no gradient cancels out exactly
+        return functools.reduce(eg.add, (weighted_sum(x, w) for x, w in zip(pool, weights)))
+
+    eg.zero_grads(params)
+    f().backward()
+    # finite differences are wrong across relu's kink
+    assume(all(np.abs(x).min() > 1e-3 for x in relu_inputs))
+    for p in params:
+        assert eg.relative_error(p.grad, eg.finite_difference_grad(f, p)) <= 1e-4, p.name
