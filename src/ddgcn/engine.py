@@ -8,10 +8,12 @@ backward reads is freed once the layer code drops it. A :class:`Parameter`
 is its own node. ``backward()`` on a scalar output walks the nodes in
 reverse topological order and accumulates gradients additively into the
 Parameter leaves, releasing each node's gradient, closure and parents as
-it passes, so a graph is single-use. A closure hands each array it passes
-on to one node only, which may keep it as its gradient, so closures also
-compute in place in the gradient they are given. Inside :func:`no_tape`
-ops record no graph at all. All primitives raise :class:`ShapeError` on
+it passes, so a graph is single-use. On its first write a node keeps any
+writeable array it is handed as its gradient, whatever its strides, and
+copies only a read-only view. So a closure hands every array, and every
+part of one buffer, to one node only, always in that node's shape, and
+computes in place in the gradient it is given. Inside :func:`no_tape` ops
+record no graph at all. All primitives raise :class:`ShapeError` on
 operand mismatch and :class:`NumericError` if they produce a non-finite
 value.
 
@@ -61,36 +63,24 @@ def _spent(g):
 
 
 class _Node:
-    """The graph side of a taped op output: gradient, backward closure,
-    parent nodes and shape, and no array."""
+    """The graph side of a taped op output: gradient, backward closure and
+    parent nodes, and no array."""
 
-    __slots__ = ("grad", "_parents", "_backward", "shape", "_axes")
+    __slots__ = ("grad", "_parents", "_backward")
     requires_grad = True
 
-    def __init__(self, parents, backward, data: np.ndarray):
-        self.grad, self._parents, self._backward, self.shape = None, parents, backward, data.shape
-        # the axes from the largest stride down: the first gradient write
-        # follows the data's memory layout, as np.empty_like(data) would
-        self._axes = None if data.flags.c_contiguous else sorted(
-            range(data.ndim), key=lambda i: -abs(data.strides[i]))
-
-    def _empty_grad(self) -> np.ndarray:
-        if self._axes is None:
-            return np.empty(self.shape)
-        return np.empty([self.shape[i] for i in self._axes]).transpose(np.argsort(self._axes))
+    def __init__(self, parents, backward):
+        self.grad, self._parents, self._backward = None, parents, backward
 
     def _accumulate(self, g: np.ndarray) -> None:
         """Add ``g`` into the gradient. A first write keeps ``g`` itself if
-        it is writeable and laid out as ``_empty_grad()`` would be, and
-        copies it otherwise. So a closure hands each array to one node only
-        and never touches it again; a read-only view may be shared."""
+        it is writeable, whatever its strides, and copies a read-only view.
+        So a closure hands every array, and every part of one buffer, to one
+        node only and never touches it again; a read-only view may be shared."""
         if self.grad is not None:
             self.grad += g
-        elif g.flags.writeable and g.transpose(self._axes or range(g.ndim)).flags.c_contiguous:
-            self.grad = g
         else:
-            self.grad = self._empty_grad()
-            np.copyto(self.grad, g)
+            self.grad = g if g.flags.writeable else np.copy(g)
 
 
 class _Constant:
@@ -119,23 +109,22 @@ class Tensor:
     """A float64 array plus, when it needs a gradient, its graph node.
 
     ``requires_grad`` is True for a :class:`Parameter` and for an op output
-    with such an operand; only those outputs get a node, and ``grad``,
-    ``_parents`` and ``_backward`` read through to it.
+    with such an operand; only those outputs get a node of their own, and
+    ``grad``, ``_parents`` and ``_backward`` read through to ``_node``.
     """
 
-    __slots__ = ("data", "_graph")
+    __slots__ = ("data", "_node")
 
     def __init__(self, data, _parents=(), _backward=None, _op="tensor"):
-        self.data = arr = _finite(data, _op)
+        self.data = _finite(data, _op)
         parents = tuple(p for p in _parents if p.requires_grad) if _taping.get() else ()
-        self._graph = _Node(parents, _backward, arr) if parents else _CONSTANT
+        self._node = _Node(parents, _backward) if parents else _CONSTANT
 
-    _node = property(lambda self: self._graph)
-    requires_grad = property(lambda self: self._graph.requires_grad)
-    grad = property(lambda self: self._graph.grad)
-    _parents = property(lambda self: self._graph._parents)
-    _backward = property(lambda self: self._graph._backward,
-                         lambda self, fn: setattr(self._graph, "_backward", fn))
+    requires_grad = property(lambda self: self._node.requires_grad)
+    grad = property(lambda self: self._node.grad)
+    _parents = property(lambda self: self._node._parents)
+    _backward = property(lambda self: self._node._backward,
+                         lambda self, fn: setattr(self._node, "_backward", fn))
 
     shape = property(lambda self: self.data.shape)
     ndim = property(lambda self: self.data.ndim)
@@ -214,11 +203,11 @@ class Parameter(Tensor):
     __slots__ = ("name", "grad")
     requires_grad = True
     _parents = ()
-    _backward = _axes = None
-    _accumulate, _empty_grad = _Node._accumulate, _Node._empty_grad
+    _backward = None
+    _accumulate = _Node._accumulate
 
     def __init__(self, value, name: str):
-        # no Tensor.__init__: a Parameter is its own node and leaves _graph unset
+        # no Tensor.__init__: a Parameter is its own node and leaves the _node slot unset
         self.data = _finite(value, "tensor")
         self.name = name
         self.grad = np.zeros_like(self.data)
@@ -240,6 +229,14 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     if axes:
         grad = grad.sum(axis=axes, keepdims=True)
     return grad.reshape(shape)
+
+
+def _axis_indices(axes, ndim: int, op: str) -> tuple[int, ...]:
+    """Axes as non-negative indices, each in ``[-ndim, ndim)`` and none repeated."""
+    axes = tuple(axes)
+    if not all(-ndim <= ax < ndim for ax in axes) or len(set(ax % ndim for ax in axes)) < len(axes):
+        raise ShapeError(f"{op}: axes {axes} are not distinct axes of a {ndim}-D operand")
+    return tuple(ax % ndim for ax in axes)
 
 
 def _binary_shapes(a: Tensor, b: Tensor, op: str) -> tuple[int, ...]:
@@ -430,8 +427,7 @@ def layer_norm(x, gamma=None, beta=None, eps: float = 1e-8) -> Tensor:
 def mean_pool(a, axis) -> Tensor:
     """Mean over one axis or a tuple of axes (dimensions are dropped)."""
     a = _lift(a)
-    axes = (axis,) if isinstance(axis, int) else tuple(axis)
-    axes = tuple(ax % a.ndim for ax in axes)
+    axes = _axis_indices((axis,) if isinstance(axis, int) else axis, a.ndim, "mean_pool")
     count = 1
     for ax in axes:
         count *= a.data.shape[ax]
@@ -513,14 +509,11 @@ def gather(table, index: np.ndarray) -> Tensor:
     """
     table = _lift(table)
     idx = np.asarray(index, dtype=np.int64)
-    if table.ndim == 1:
-        out_val = table.data[idx]
-    elif table.ndim == 2:
-        out_val = table.data[:, idx]
-    else:
+    if table.ndim not in (1, 2):
         raise ShapeError(f"gather: table must be 1-D or 2-D, got {table.data.shape}")
     if idx.size and (idx.min() < 0 or idx.max() >= table.data.shape[-1]):
         raise ShapeError("gather: index out of table range")
+    out_val = table.data[..., idx]
     nt, table_shape = table._node, table.data.shape
 
     def bw(g):
@@ -543,7 +536,7 @@ def take(a, indices: np.ndarray, axis: int = 0) -> Tensor:
     idx = np.asarray(indices, dtype=np.int64)
     if idx.ndim != 1:
         raise ShapeError("take: indices must be 1-D")
-    axis = axis % a.ndim
+    (axis,) = _axis_indices((axis,), a.ndim, "take")
     if idx.size and (idx.min() < 0 or idx.max() >= a.data.shape[axis]):
         raise ShapeError(f"take: index out of range for axis {axis} with size {a.data.shape[axis]}")
     na, a_shape = a._node, a.data.shape
@@ -579,7 +572,9 @@ def reshape(a, shape) -> Tensor:
 
 def transpose(a, axes) -> Tensor:
     a = _lift(a)
-    axes = tuple(axes)
+    axes = _axis_indices(axes, a.ndim, "transpose")
+    if len(axes) != a.ndim:
+        raise ShapeError(f"transpose: axes {axes} do not permute a {a.ndim}-D operand")
     inverse = tuple(np.argsort(axes))
     na = a._node
 

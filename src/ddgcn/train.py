@@ -136,21 +136,19 @@ def evaluate(model: DDGCNModel, dataset: list[SkeletonSample]) -> float:
 
 
 def evaluate_fused(model_joint: DDGCNModel, model_bone: DDGCNModel,
-                   dataset: list[SkeletonSample], derive_bones: bool = True) -> float:
+                   dataset: list[SkeletonSample]) -> float:
     """Top-1 accuracy of the score-averaged two-stream ensemble.
 
-    ``dataset`` holds joint coordinates; with ``derive_bones`` the second
-    model sees the bone stream derived with its topology, otherwise both
-    models score the same frames.
+    ``dataset`` holds joint coordinates; the second model sees the bone
+    stream derived with its topology.
     """
     if not dataset:
         raise ConfigError("evaluation requires a non-empty dataset")
     topology = model_bone.config.topology
     correct = 0
     for sample in dataset:
-        second = bone_transform(sample.frames, topology) if derive_bones else sample.frames
         fused = fuse_scores(model_joint.predict_proba(sample.frames),
-                            model_bone.predict_proba(second))
+                            model_bone.predict_proba(bone_transform(sample.frames, topology)))
         correct += int(int(np.argmax(fused)) == sample.label)
     return correct / len(dataset)
 

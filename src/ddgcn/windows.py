@@ -38,15 +38,19 @@ class WindowLayout:
     """Token bookkeeping for one (T, V) grid under a WindowSpec.
 
     ``gather`` lists flat t * V + v indices of the padded grid in window
-    order; ``scatter`` is the inverse permutation. ``pad_frames`` maps the
-    padded time axis back onto source frames (last frame repeated).
+    order; ``scatter``, computed on each read, is the inverse permutation.
+    ``pad_frames`` maps the padded time axis back onto source frames (last
+    frame repeated).
     """
 
     padded_frames: int
     num_windows: int
     gather: np.ndarray
-    scatter: np.ndarray
     pad_frames: np.ndarray
+
+    @property
+    def scatter(self) -> np.ndarray:
+        return np.argsort(self.gather)
 
 
 def split_windows(frames: int, num_joints: int, spec: WindowSpec) -> WindowLayout:
@@ -68,12 +72,10 @@ def split_windows(frames: int, num_joints: int, spec: WindowSpec) -> WindowLayou
 
     gather = (np.arange(padded * num_joints, dtype=np.int64)
               .reshape(t_blocks, m, v_blocks, n).transpose(0, 2, 1, 3).ravel())
-    scatter = np.argsort(gather)
     return WindowLayout(
         padded_frames=padded,
         num_windows=t_blocks * v_blocks,
         gather=gather,
-        scatter=scatter,
         pad_frames=np.minimum(np.arange(padded, dtype=np.int64), frames - 1),
     )
 

@@ -9,10 +9,11 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from ddgcn import engine as eg
+from ddgcn import engine as eg, graph, layers
 from ddgcn.checks import weighted_sum
 from ddgcn.engine import Parameter, Tensor
 from ddgcn.errors import NumericError, ShapeError
+from ddgcn.windows import WindowSpec
 
 rng = np.random.default_rng(20240301)
 
@@ -365,6 +366,8 @@ def test_grad_reshape_transpose():
     x = Parameter(rng.uniform(-1, 1, (2, 3, 4)), "x")
     r = rng.standard_normal((4, 6))
     check_grads(lambda: weighted_sum(eg.reshape(eg.transpose(x, (2, 0, 1)), (4, 6)), r), [x])
+    # negative axes name the same permutation, and the gradient comes back in x's shape
+    check_grads(lambda: weighted_sum(eg.reshape(eg.transpose(x, (-1, 0, -2)), (4, 6)), r), [x])
 
 
 def test_grad_cross_entropy():
@@ -389,6 +392,19 @@ def test_shape_errors_name_the_primitive():
         eg.take(Tensor(np.ones((2, 2))), np.array([2]), axis=0)
     with pytest.raises(ShapeError, match="cross_entropy"):
         eg.cross_entropy(Tensor(np.zeros(3)), 5)
+    # an axis out of range, repeated, or not a permutation is named, not wrapped
+    x = Tensor(np.ones((2, 3, 4)))
+    for axis in (3, -4, (1, -2), (0, 0)):
+        with pytest.raises(ShapeError, match="mean_pool"):
+            eg.mean_pool(x, axis)
+    for axis in (3, -4):
+        with pytest.raises(ShapeError, match="take"):
+            eg.take(x, np.array([0]), axis=axis)
+    for axes in ((0, 1), (0, 0, 1), (0, 1, 3), (-1, 0, 2), (0, 1, 2, 3)):
+        with pytest.raises(ShapeError, match="transpose"):
+            eg.transpose(x, axes)
+    with pytest.raises(ShapeError, match="gather"):
+        eg.gather(Tensor(np.ones(4)), np.array([[0, 4]]))
 
 
 def test_non_finite_raises():
@@ -625,6 +641,48 @@ def test_backward_through_in_place_closures_allocates_no_second_array():
     # mean_pool's broadcast copy is the one full array; relu adds a boolean mask
     assert peak_mb < 2 * array_mb, peak_mb
     npt.assert_array_equal(p.grad, np.where(p.data > 0, 64.0 / p.data.size, 0.0))
+
+
+def test_a_node_keeps_a_writeable_gradient_whatever_its_layout():
+    p = Parameter(rng.standard_normal((3, 4)), "p")
+    h = eg.scalar_mul(p, 2.0)  # an interior node
+    g = np.ones((4, 3)).T
+    assert not g.flags.c_contiguous and g.flags.writeable
+    h._node._accumulate(g)
+    assert h.grad is g
+    h._node._accumulate(np.ones((3, 4)))  # later writes add in place
+    assert h.grad is g
+    npt.assert_array_equal(g, np.full((3, 4), 2.0))
+    # a read-only view may be shared, so the first write copies it
+    shared = np.broadcast_to(np.arange(4.0), (3, 4))
+    k = eg.scalar_mul(p, 3.0)
+    k._node._accumulate(shared)
+    assert k.grad is not shared and k.grad.flags.writeable
+    k.grad[0, 0] = -1.0
+    npt.assert_array_equal(shared, np.broadcast_to(np.arange(4.0), (3, 4)))
+
+
+def test_a_toy5_backward_copies_only_read_only_gradients(monkeypatch):
+    config = layers.ModelConfig(topology=graph.get_topology("toy5"), num_classes=4,
+                                channels=(16, 16, 32, 32), strides=(1, 1, 2, 1),
+                                window=WindowSpec(4, 5), heads=4)
+    model = layers.DDGCNModel(config, seed=0)
+    x = np.random.default_rng(0).standard_normal((64, 16, 5, 3))
+    labels = np.arange(64) % 4
+    first_writes = []  # (kept, writeable) per first write of an interior node
+    accumulate = eg._Node._accumulate
+
+    def spied(node, g):
+        fresh = node.grad is None
+        accumulate(node, g)
+        if fresh:
+            first_writes.append((node.grad is g, g.flags.writeable))
+
+    monkeypatch.setattr(eg._Node, "_accumulate", spied)
+    eg.cross_entropy(model.logits(x), labels).backward()
+    copies = [writeable for kept, writeable in first_writes if not kept]
+    assert len(first_writes) > 100 and copies
+    assert not any(copies), f"{sum(copies)} of {len(copies)} copies were of writeable arrays"
 
 
 def test_forward_determinism():

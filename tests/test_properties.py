@@ -101,8 +101,9 @@ def test_windows_tile_the_padded_grid(frames, m, n, joint_blocks):
     npt.assert_array_equal(t_of // m * joint_blocks + v_of // n, np.broadcast_to(window, windows.shape))
 
 
-# each op maps one or two (4, 4) nodes to a (4, 4) node; the shuffle and the
-# transpose hand non-contiguous gradients back, mean_pool a read-only broadcast
+# each op maps one or two (4, 4) nodes to a (4, 4) node; the shuffles and the
+# transpose hand non-contiguous gradients back, mean_pool a read-only broadcast,
+# and take a scatter of repeated indices
 UNARY = {
     "neg": eg.neg,
     "scalar_mul": lambda a: eg.scalar_mul(a, -1.5),
@@ -110,6 +111,8 @@ UNARY = {
     "relu": eg.relu,
     "transpose": lambda a: eg.transpose(a, (1, 0)),
     "shuffle": lambda a: eg.reshape(eg.transpose(eg.reshape(a, (2, 2, 4)), (1, 0, 2)), (4, 4)),
+    "rotate": lambda a: eg.reshape(eg.transpose(eg.reshape(a, (2, 2, 4)), (-1, 0, 1)), (4, 4)),
+    "take": lambda a: eg.take(a, np.array([2, 0, 2, 3]), axis=-1),
 }
 BINARY = {
     "add": eg.add,

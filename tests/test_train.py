@@ -158,12 +158,22 @@ def test_perfect_predictor_scores_one():
     assert train.evaluate(model, ds) == 1.0
 
 
-def test_fused_identical_models_match_single_stream():
-    ds = tiny_dataset()
-    model = layers.DDGCNModel(tiny_config(), seed=6)
-    single = train.evaluate(model, ds)
-    fused = train.evaluate_fused(model, model, ds, derive_bones=False)
-    assert fused == single
+def test_fused_eval_scores_each_clip_by_the_fused_argmax():
+    joint = layers.DDGCNModel(tiny_config(), seed=6)
+    bone = layers.DDGCNModel(tiny_config(), seed=7)
+    topology = bone.config.topology
+    head_rng = np.random.default_rng(8)
+    # the zero heads tie every class, which goes to the lowest; random heads need not
+    for head_scale in (0.0, 1.0):
+        for model in (joint, bone):
+            model.head_w.data = head_scale * head_rng.standard_normal(model.head_w.data.shape)
+        for sample in tiny_dataset():
+            fused = layers.fuse_scores(joint.predict_proba(sample.frames),
+                                       bone.predict_proba(layers.bone_transform(sample.frames, topology)))
+            best = int(np.flatnonzero(fused == fused.max())[0])
+            for label in range(fused.size):
+                clip = data.SkeletonSample(sample.frames, label, sample.sample_id)
+                assert train.evaluate_fused(joint, bone, [clip]) == float(label == best)
 
 
 # ---------------------------------------------------------------------------
