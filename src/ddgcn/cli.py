@@ -14,8 +14,9 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
+from typing import get_type_hints
 
 from . import checks, data as data_mod, graph, train as train_mod
 from .errors import ConfigError, DataError, NumericError, ShapeError
@@ -28,10 +29,7 @@ EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
 _TOP_KEYS = {"seed", "topology", "strategy", "stream", "output_dir", "model", "train", "data"}
-_MODEL_KEYS = {f.name for f in fields(ModelConfig)} - {"topology", "strategy"}
-_TRAIN_KEYS = {f.name for f in fields(train_mod.TrainConfig)}
 _DATA_KEYS = {"file", "synthetic", "target_frames"}
-_SYNTHETIC_KEYS = {"num_classes", "samples_per_class", "frames", "noise_std", "seed", "channels"}
 
 STREAMS = ("joint", "bone", "fusion")
 
@@ -39,8 +37,6 @@ STREAMS = ("joint", "bone", "fusion")
 @dataclass
 class RunConfig:
     seed: int
-    topology: graph.SkeletonTopology
-    strategy: str
     stream: str
     output_dir: Path
     model: ModelConfig
@@ -50,39 +46,56 @@ class RunConfig:
     target_frames: int
 
 
-def _reject_unknown(section: dict, allowed: set, where: str) -> None:
+def _section(section, allowed: set, where: str) -> dict:
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where} section must be an object")
     unknown = sorted(set(section) - allowed)
     if unknown:
         raise ConfigError(f"unknown key(s) in {where}: {', '.join(unknown)}")
-
-
-def _section(doc: dict, key: str, allowed: set, where: str) -> dict:
-    section = doc.get(key, {})
-    if not isinstance(section, dict):
-        raise ConfigError(f"{where} section must be an object")
-    _reject_unknown(section, allowed, where)
     return section
 
 
-_REQUIRED = object()
+def _number(kind, value):
+    """``value`` as a ``kind``: a bool is no number, and an int is whole."""
+    if isinstance(value, bool) or (kind is int and isinstance(value, float) and not value.is_integer()):
+        raise ValueError("not a whole number" if kind is int else "not a number")
+    return kind(value)
 
 
 def _ints(value) -> tuple[int, ...]:
-    return tuple(int(v) for v in value)
+    if not isinstance(value, list):
+        raise ValueError("not a list")
+    return tuple(_number(int, v) for v in value)
 
 
-def _read(section: dict, where: str, key: str, kind, default=_REQUIRED):
-    """``section[key]`` converted by ``kind``; ``default`` stands in for an
-    absent key. A missing required key or a value that does not convert is
-    a ConfigError naming the dotted key."""
-    name = f"{where}.{key}" if where else key
-    if key not in section and default is _REQUIRED:
-        raise ConfigError(f"{name} is required")
-    value = section.get(key, default)
+# how a value is read, by the type its field declares
+_READERS = {int: lambda value: _number(int, value), float: lambda value: _number(float, value),
+            tuple[int, ...]: _ints, WindowSpec: lambda value: WindowSpec(*_ints(value))}
+
+
+def _read(value, name: str, kind):
+    """``value`` read as type ``kind``; one that does not convert is a
+    ConfigError naming the dotted key ``name``."""
     try:
-        return kind(value)
+        return _READERS.get(kind, kind)(value)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{name}={value!r} is malformed: {exc}") from exc
+
+
+def _build(cls, parent: dict, where: str, given: dict, **defaults):
+    """``cls`` from the ``where`` section of ``parent``: its keys are the fields
+    not in ``given``, each read by its declared type. An absent field takes
+    ``defaults``, else the dataclass default; one with neither is an error."""
+    hints = get_type_hints(cls)
+    readable = [f for f in fields(cls) if f.name not in given]
+    section = _section(parent.get(where.rsplit(".", 1)[-1], {}), {f.name for f in readable}, where)
+    values = {**defaults, **given}
+    for f in readable:
+        if f.name in section:
+            values[f.name] = _read(section[f.name], f"{where}.{f.name}", hints[f.name])
+        elif f.name not in values and f.default is MISSING:
+            raise ConfigError(f"{where}.{f.name} is required")
+    return cls(**values)
 
 
 def _parse_override(text: str) -> tuple[list[str], object]:
@@ -112,9 +125,9 @@ def load_run_config(path: str | Path, overrides: list[str] | None = None) -> Run
     try:
         with open(path, "r", encoding="utf-8") as handle:
             doc = json.load(handle)
-    except FileNotFoundError as exc:
-        raise ConfigError(f"config file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    except ValueError as exc:  # invalid JSON or text that is not UTF-8
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config document must be a JSON object")
@@ -123,93 +136,59 @@ def load_run_config(path: str | Path, overrides: list[str] | None = None) -> Run
 
 
 def parse_run_config(doc: dict) -> RunConfig:
-    _reject_unknown(doc, _TOP_KEYS, "config")
-    seed = _read(doc, "", "seed", int, 0)
+    _section(doc, _TOP_KEYS, "config")
+    seed = _read(doc.get("seed", 0), "seed", int)
     strategy = str(doc.get("strategy", "activity"))
     stream = str(doc.get("stream", "joint"))
     if stream not in STREAMS:
         raise ConfigError(f"stream must be one of {STREAMS}, got {stream!r}")
-    output_dir = _read(doc, "", "output_dir", Path, "runs")
+    output_dir = _read(doc.get("output_dir", "runs"), "output_dir", Path)
 
     topo_spec = doc.get("topology", "ntu25")
     if isinstance(topo_spec, str):
         topology = graph.get_topology(topo_spec)
     elif isinstance(topo_spec, dict) and set(topo_spec) == {"file"}:
-        topology = graph.load_topology(topo_spec["file"])
+        topology = graph.load_topology(_read(topo_spec["file"], "topology.file", Path))
     elif isinstance(topo_spec, dict):
         topology = graph.topology_from_dict(topo_spec)
     else:
         raise ConfigError("topology must be a name, a {'file': path} object or an inline document")
 
-    data_section = _section(doc, "data", _DATA_KEYS, "data")
-    synthetic = None
-    data_file = None
+    data_section = _section(doc.get("data", {}), _DATA_KEYS, "data")
     if "synthetic" in data_section and "file" in data_section:
         raise ConfigError("data section must name either a file or a synthetic spec, not both")
-    if "synthetic" in data_section:
-        syn = _section(data_section, "synthetic", _SYNTHETIC_KEYS, "data.synthetic")
-        where = "data.synthetic"
-        synthetic = data_mod.SyntheticSpec(
-            num_classes=_read(syn, where, "num_classes", int),
-            samples_per_class=_read(syn, where, "samples_per_class", int),
-            frames=_read(syn, where, "frames", int),
-            topology=topology,
-            noise_std=_read(syn, where, "noise_std", float, 0.0),
-            seed=_read(syn, where, "seed", int, seed),
-            channels=_read(syn, where, "channels", int, 3),
-        )
-    elif "file" in data_section:
-        data_file = _read(data_section, "data", "file", Path)
+    synthetic = (_build(data_mod.SyntheticSpec, data_section, "data.synthetic", {"topology": topology},
+                        seed=seed) if "synthetic" in data_section else None)
+    data_file = _read(data_section["file"], "data.file", Path) if "file" in data_section else None
 
-    model_section = _section(doc, "model", _MODEL_KEYS, "model")
-    window = model_section.get("window", [4, 25])
-    if not (isinstance(window, (list, tuple)) and len(window) == 2):
-        raise ConfigError("model.window must be a [frames, joints] pair")
-    given = {f.name: _read(model_section, "model", f.name,
-                           _ints if f.name in ("channels", "strides") else int)
-             for f in fields(ModelConfig) if f.name in model_section and f.name != "window"}
-    if "num_classes" not in given:
-        if synthetic is None:
-            raise ConfigError("model.num_classes is required unless synthetic data defines it")
-        given["num_classes"] = synthetic.num_classes
-    model = ModelConfig(topology=topology, strategy=strategy,
-                        window=WindowSpec(*_read(model_section, "model", "window", _ints, window)),
-                        **given)
-
-    train_section = _section(doc, "train", _TRAIN_KEYS, "train")
-    train_config = train_mod.TrainConfig(**{
-        f.name: _read(train_section, "train", f.name, type(f.default),
-                      seed if f.name == "seed" else f.default)
-        for f in fields(train_mod.TrainConfig)})
-
+    model = _build(ModelConfig, doc, "model", {"topology": topology, "strategy": strategy},
+                   **({"num_classes": synthetic.num_classes} if synthetic else {}))
+    train_config = _build(train_mod.TrainConfig, doc, "train", {}, seed=seed)
     default_target = synthetic.frames if synthetic is not None else 64
-    target_frames = _read(data_section, "data", "target_frames", int, default_target)
+    target_frames = _read(data_section.get("target_frames", default_target), "data.target_frames", int)
 
-    return RunConfig(
-        seed=seed, topology=topology, strategy=strategy, stream=stream,
-        output_dir=output_dir, model=model, train=train_config,
-        data_file=data_file, synthetic=synthetic, target_frames=target_frames,
-    )
+    return RunConfig(seed=seed, stream=stream, output_dir=output_dir, model=model, train=train_config,
+                     data_file=data_file, synthetic=synthetic, target_frames=target_frames)
 
 
 def _load_samples(config: RunConfig) -> list[data_mod.SkeletonSample]:
+    model = config.model
     if config.synthetic is not None:
         raw = data_mod.generate_synthetic(config.synthetic)
     elif config.data_file is not None:
         try:
-            raw = data_mod.load_dataset(config.data_file, expected_joints=config.topology.num_joints)
-        except FileNotFoundError as exc:
-            raise DataError(f"dataset file not found: {config.data_file}") from exc
+            raw = data_mod.load_dataset(config.data_file, expected_joints=model.topology.num_joints)
+        except (OSError, UnicodeDecodeError) as exc:
+            raise DataError(f"cannot read dataset file {config.data_file}: {exc}") from exc
     else:
         raise ConfigError("config has no data source (data.file or data.synthetic)")
-    model = config.model
     for s in raw:
         if not 0 <= s.label < model.num_classes:
             raise DataError(f"sample {s.sample_id!r}: label {s.label} out of range for {model.num_classes} classes")
         if s.frames.shape[2] != model.in_channels:
             raise DataError(f"sample {s.sample_id!r} has {s.frames.shape[2]} channels, "
                             f"the model expects {model.in_channels}")
-    return [data_mod.preprocess(s, config.target_frames, root_joint=config.topology.root)
+    return [data_mod.preprocess(s, config.target_frames, root_joint=model.topology.root)
             for s in raw]
 
 
@@ -223,7 +202,7 @@ def _to_stream(samples, stream: str, topology) -> list[data_mod.SkeletonSample]:
 
 def _train_one(config: RunConfig, stream: str, samples, model_seed: int):
     model = DDGCNModel(config.model, seed=model_seed)
-    stream_samples = _to_stream(samples, stream, config.topology)
+    stream_samples = _to_stream(samples, stream, config.model.topology)
     history = train_mod.train(model, stream_samples, config.train)
     config.output_dir.mkdir(parents=True, exist_ok=True)
     history_path = config.output_dir / f"history_{stream}.csv"
@@ -239,6 +218,10 @@ def _train_one(config: RunConfig, stream: str, samples, model_seed: int):
 
 def cmd_train(args) -> int:
     config = load_run_config(args.config, args.set)
+    # outputs are written after training, so a directory that cannot be made fails first
+    existing = next(p for p in (config.output_dir, *config.output_dir.parents) if p.exists())
+    if not existing.is_dir():
+        raise ConfigError(f"output_dir {config.output_dir} cannot be made: {existing} is not a directory")
     samples = _load_samples(config)
     if config.stream == "fusion":
         model_joint = _train_one(config, "joint", samples, config.seed)
@@ -273,7 +256,7 @@ def cmd_eval(args) -> int:
         if config.stream == "fusion":
             raise ConfigError("fusion evaluation needs --checkpoint2 for the bone stream")
         model = load_model(args.checkpoint)
-        stream_samples = _to_stream(samples, config.stream, config.topology)
+        stream_samples = _to_stream(samples, config.stream, config.model.topology)
         accuracy = train_mod.evaluate(model, stream_samples)
         print(f"top1_accuracy {accuracy:.6f} ({config.stream})")
     return EXIT_OK
@@ -282,7 +265,7 @@ def cmd_eval(args) -> int:
 def cmd_gradcheck(args) -> int:
     config = load_run_config(args.config, args.set)
     results = checks.run_gradient_battery(
-        config.topology, strategy=config.strategy, heads=config.model.heads,
+        config.model.topology, strategy=config.model.strategy, heads=config.model.heads,
         kernel=config.model.kernel, groups=config.model.groups, seed=config.seed + 2024)
     worst: dict[str, float] = {}
     for key, err in results.items():
@@ -302,8 +285,8 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_inspect_partition(args) -> int:
     config = load_run_config(args.config, args.set)
-    topology = config.topology
-    labeling = graph.make_partition(topology, config.strategy)
+    topology = config.model.topology
+    labeling = graph.make_partition(topology, config.model.strategy)
     names = topology.names or tuple(str(i) for i in range(topology.num_joints))
 
     print(f"strategy: {labeling.strategy}   subsets: {labeling.num_subsets}")

@@ -239,6 +239,14 @@ def _axis_indices(axes, ndim: int, op: str) -> tuple[int, ...]:
     return tuple(ax % ndim for ax in axes)
 
 
+def _index(index, op: str) -> np.ndarray:
+    """``index`` as int64; a non-empty index of another dtype is refused, not cast."""
+    idx = np.asarray(index)
+    if idx.size and idx.dtype.kind not in "iu":
+        raise ShapeError(f"{op}: index must hold integers, got dtype {idx.dtype}")
+    return idx.astype(np.int64, copy=False)
+
+
 def _binary_shapes(a: Tensor, b: Tensor, op: str) -> tuple[int, ...]:
     try:
         return np.broadcast_shapes(a.data.shape, b.data.shape)
@@ -427,7 +435,7 @@ def layer_norm(x, gamma=None, beta=None, eps: float = 1e-8) -> Tensor:
 def mean_pool(a, axis) -> Tensor:
     """Mean over one axis or a tuple of axes (dimensions are dropped)."""
     a = _lift(a)
-    axes = _axis_indices((axis,) if isinstance(axis, int) else axis, a.ndim, "mean_pool")
+    axes = _axis_indices((axis,) if isinstance(axis, (int, np.integer)) else axis, a.ndim, "mean_pool")
     count = 1
     for ax in axes:
         count *= a.data.shape[ax]
@@ -508,7 +516,7 @@ def gather(table, index: np.ndarray) -> Tensor:
     (H,) + ``index.shape``. Gradients scatter-add back into the table.
     """
     table = _lift(table)
-    idx = np.asarray(index, dtype=np.int64)
+    idx = _index(index, "gather")
     if table.ndim not in (1, 2):
         raise ShapeError(f"gather: table must be 1-D or 2-D, got {table.data.shape}")
     if idx.size and (idx.min() < 0 or idx.max() >= table.data.shape[-1]):
@@ -533,7 +541,7 @@ def take(a, indices: np.ndarray, axis: int = 0) -> Tensor:
     one positive step (a crop or a subsample) selects a view.
     """
     a = _lift(a)
-    idx = np.asarray(indices, dtype=np.int64)
+    idx = _index(indices, "take")
     if idx.ndim != 1:
         raise ShapeError("take: indices must be 1-D")
     (axis,) = _axis_indices((axis,), a.ndim, "take")

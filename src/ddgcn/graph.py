@@ -254,16 +254,18 @@ def topology_from_dict(doc: dict) -> SkeletonTopology:
         num_joints = int(doc["num_joints"])
         root = int(doc["root"])
         edges = tuple((int(i), int(j)) for i, j in doc["edges"])
+        names = tuple(str(n) for n in doc["names"]) if doc.get("names") else None
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed topology document: {exc}") from exc
-    names = tuple(str(n) for n in doc["names"]) if "names" in doc and doc["names"] else None
     return SkeletonTopology(num_joints, edges, root=root, names=names)
 
 
 def load_topology(path: str | Path) -> SkeletonTopology:
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
             doc = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"topology file {path} is not valid JSON: {exc}") from exc
+    except OSError as exc:
+        raise ConfigError(f"cannot read topology file {path}: {exc}") from exc
+    except ValueError as exc:  # invalid JSON or text that is not UTF-8
+        raise ConfigError(f"topology file {path} is not valid JSON: {exc}") from exc
     return topology_from_dict(doc)

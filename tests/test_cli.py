@@ -1,8 +1,13 @@
+import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 
 from ddgcn import cli, data, graph
+from ddgcn.layers import ModelConfig
+from ddgcn.train import TrainConfig
+from ddgcn.windows import WindowSpec
 
 
 def base_config(tmp_path, **overrides):
@@ -115,6 +120,9 @@ def test_eval_checkpoint_of_another_config_is_data_error(tmp_path, capsys, overr
 
 def test_missing_config_file(tmp_path):
     assert cli.main(["train", "--config", str(tmp_path / "nope.json")]) == cli.EXIT_CONFIG
+    assert cli.main(["train", "--config", str(tmp_path)]) == cli.EXIT_CONFIG  # a directory
+    (tmp_path / "binary.json").write_bytes(b"\xff\xfe")
+    assert cli.main(["train", "--config", str(tmp_path / "binary.json")]) == cli.EXIT_CONFIG
 
 
 def test_unknown_config_key(tmp_path):
@@ -146,6 +154,8 @@ def test_malformed_dataset_file(tmp_path):
     doc["data"] = {"file": str(bad), "target_frames": 8}
     doc["model"]["num_classes"] = 3
     config = write_config(tmp_path, doc)
+    assert cli.main(["train", "--config", config]) == cli.EXIT_DATA
+    bad.write_bytes(b"\xff\xfe\n")  # not UTF-8
     assert cli.main(["train", "--config", config]) == cli.EXIT_DATA
 
 
@@ -207,7 +217,8 @@ def test_set_overrides(tmp_path, capsys):
 
 @pytest.mark.parametrize("override", [
     "train.epochs=abc", "model.heads=abc", 'train.base_lr="x"', "model.channels=4",
-    "data.synthetic.frames=abc",
+    "data.synthetic.frames=abc", "train.epochs=1.5", "seed=1.7", "model.heads=true",
+    "train.base_lr=true",
 ])
 def test_malformed_value_is_config_error(tmp_path, capsys, override):
     config = write_config(tmp_path, base_config(tmp_path))
@@ -231,6 +242,71 @@ def test_unusable_value_is_config_error(tmp_path, capsys, override, key):
     err = capsys.readouterr().err
     assert "config error" in err and key in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("override, message", [
+    ('topology={"file": "absent.json"}', "cannot read topology file absent.json"),
+    ('topology={"num_joints": 2, "root": 0, "edges": [[0, 1]], "names": 5}',
+     "malformed topology document"),
+    ("output_dir=config.json", "config.json is not a directory"),
+])
+def test_unusable_path_or_document_is_config_error(tmp_path, capsys, monkeypatch, override, message):
+    monkeypatch.chdir(tmp_path)
+    config = write_config(tmp_path, base_config(tmp_path))
+    assert cli.main(["train", "--config", config, "--set", override]) == cli.EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert message in err
+    assert out == ""  # refused before any training
+
+
+# the sections the config dataclasses own, and the fields a run sets outside them
+SECTIONS = {"model": ModelConfig, "train": TrainConfig, "data.synthetic": data.SyntheticSpec}
+GIVEN = {"topology", "strategy"}
+# a value for each field that base_config does not give it; a new field needs one here
+NEW_VALUES = {
+    "model.num_classes": 6, "model.channels": (16, 16), "model.strides": (2, 1),
+    "model.window": WindowSpec(8, 5), "model.heads": 8, "model.kernel": 5, "model.groups": 8,
+    "model.in_channels": 2,
+    "train.epochs": 7, "train.batch_size": 3, "train.base_lr": 0.25, "train.lr_decay": 0.5,
+    "train.decay_every": 4, "train.beta1": 0.5, "train.beta2": 0.75, "train.eps": 1e-6,
+    "train.seed": 9,
+    "data.synthetic.num_classes": 4, "data.synthetic.samples_per_class": 3,
+    "data.synthetic.frames": 12, "data.synthetic.noise_std": 0.25, "data.synthetic.seed": 2,
+    "data.synthetic.channels": 2,
+}
+
+
+def built_section(config, where):
+    return {"model": config.model, "train": config.train, "data.synthetic": config.synthetic}[where]
+
+
+@pytest.mark.parametrize("where, name", [(where, f.name) for where, cls in SECTIONS.items()
+                                         for f in dataclasses.fields(cls) if f.name not in GIVEN])
+def test_every_field_is_read_from_its_section(tmp_path, where, name):
+    value = NEW_VALUES[f"{where}.{name}"]
+    before = built_section(cli.parse_run_config(base_config(tmp_path)), where)
+    assert getattr(before, name) != value
+    raw = json.dumps(value, default=dataclasses.astuple)  # a WindowSpec is a [frames, joints] pair
+    doc = cli._apply_overrides(base_config(tmp_path), [f"{where}.{name}={raw}"])
+    assert getattr(built_section(cli.parse_run_config(doc), where), name) == value
+
+
+def test_omitted_keys_take_the_dataclass_defaults():
+    config = cli.parse_run_config({"seed": 7, "data": {"synthetic": {
+        "num_classes": 3, "samples_per_class": 2, "frames": 8}}})
+    topology = graph.get_topology("ntu25")
+    assert config.model == ModelConfig(topology, num_classes=3)
+    assert config.model.window == WindowSpec(4, 25)
+    # the top-level seed stands in for both section seeds
+    assert config.train == TrainConfig(seed=7)
+    assert config.synthetic == data.SyntheticSpec(3, 2, 8, topology, seed=7)
+
+
+def test_readme_run_configuration_parses():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("A complete run configuration:", 1)[1]
+    doc = json.loads(block.split("```json", 1)[1].split("```", 1)[0])
+    assert cli.parse_run_config(doc).model.channels == tuple(doc["model"]["channels"])
 
 
 @pytest.mark.parametrize("value", ["nan", "-0.5"])

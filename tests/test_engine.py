@@ -260,6 +260,7 @@ def test_grad_mean_pool():
     r2 = rng.standard_normal((3,))
     check_grads(lambda: weighted_sum(eg.mean_pool(x, axis=1), r1), [x])
     check_grads(lambda: weighted_sum(eg.mean_pool(x, axis=(0, 1)), r2), [x])
+    npt.assert_array_equal(eg.mean_pool(x, np.int64(1)).data, eg.mean_pool(x, 1).data)
 
 
 def test_grad_temporal_conv():
@@ -405,6 +406,13 @@ def test_shape_errors_name_the_primitive():
             eg.transpose(x, axes)
     with pytest.raises(ShapeError, match="gather"):
         eg.gather(Tensor(np.ones(4)), np.array([[0, 4]]))
+    # an index that is not integer is refused, not truncated or read as a mask
+    for index in (np.array([0.5]), np.array([True, False])):
+        with pytest.raises(ShapeError, match="take: index must hold integers"):
+            eg.take(x, index, axis=0)
+    with pytest.raises(ShapeError, match="gather: index must hold integers"):
+        eg.gather(Tensor(np.ones(4)), np.array([[0.0, 1.5]]))
+    assert eg.take(x, [], axis=1).shape == (2, 0, 4)
 
 
 def test_non_finite_raises():
