@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import get_type_hints
 
 from . import checks, data as data_mod, graph, train as train_mod
-from .errors import ConfigError, DataError, NumericError, ShapeError
+from .errors import ConfigError, DataError, NumericError, ShapeError, read_number
 from .layers import DDGCNModel, ModelConfig, bone_transform
 from .windows import WindowSpec
 
@@ -55,21 +55,14 @@ def _section(section, allowed: set, where: str) -> dict:
     return section
 
 
-def _number(kind, value):
-    """``value`` as a ``kind``: a bool is no number, and an int is whole."""
-    if isinstance(value, bool) or (kind is int and isinstance(value, float) and not value.is_integer()):
-        raise ValueError("not a whole number" if kind is int else "not a number")
-    return kind(value)
-
-
 def _ints(value) -> tuple[int, ...]:
     if not isinstance(value, list):
         raise ValueError("not a list")
-    return tuple(_number(int, v) for v in value)
+    return tuple(read_number(int, v) for v in value)
 
 
 # how a value is read, by the type its field declares
-_READERS = {int: lambda value: _number(int, value), float: lambda value: _number(float, value),
+_READERS = {int: lambda value: read_number(int, value), float: lambda value: read_number(float, value),
             tuple[int, ...]: _ints, WindowSpec: lambda value: WindowSpec(*_ints(value))}
 
 
@@ -241,8 +234,8 @@ def cmd_eval(args) -> int:
         model = DDGCNModel(config.model, seed=config.seed)
         try:
             model.load(path)
-        except FileNotFoundError as exc:
-            raise DataError(f"checkpoint not found: {path}") from exc
+        except OSError as exc:
+            raise DataError(f"cannot read checkpoint {path}: {exc}") from exc
         except (KeyError, ValueError) as exc:
             raise DataError(f"checkpoint {path} does not match the configured model: {exc}") from exc
         return model
@@ -283,6 +276,14 @@ def cmd_gradcheck(args) -> int:
     return EXIT_OK
 
 
+def _open_output(path):
+    """``path`` opened to write a CSV; one that cannot be opened is a ConfigError."""
+    try:
+        return open(path, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+
+
 def cmd_inspect_partition(args) -> int:
     config = load_run_config(args.config, args.set)
     topology = config.model.topology
@@ -303,7 +304,7 @@ def cmd_inspect_partition(args) -> int:
             print(" ".join(f"{x:7.4f}" for x in row))
 
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8", newline="") as handle:
+        with _open_output(args.csv) as handle:
             writer = csv.writer(handle)
             writer.writerow(["subset", "row", "col", "value"])
             for k, mat in enumerate(matrices):
@@ -319,12 +320,12 @@ def cmd_export_metrics(args) -> int:
     for src in args.inputs:
         try:
             rows = train_mod.read_history_csv(src)
-        except FileNotFoundError as exc:
-            raise DataError(f"metrics file not found: {src}") from exc
+        except OSError as exc:
+            raise DataError(f"cannot read metrics file {src}: {exc}") from exc
         except ValueError as exc:
             raise DataError(str(exc)) from exc
         merged.append((Path(src).stem, rows))
-    with open(args.out, "w", encoding="utf-8", newline="") as handle:
+    with _open_output(args.out) as handle:
         writer = csv.writer(handle)
         tagged = len(merged) > 1  # a merge says which file each row came from
         writer.writerow(train_mod.HISTORY_FIELDS + (("source",) if tagged else ()))

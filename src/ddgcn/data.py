@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, read_number
 from .graph import SkeletonTopology
 
 
@@ -67,9 +67,9 @@ def load_dataset(path: str | Path, expected_joints: int | None = None) -> list[S
                 raise DataError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
             try:
                 sample_id = str(doc["id"])
-                label = int(doc["label"])
-                joints = int(doc["joints"])
-                channels = int(doc["channels"])
+                label = read_number(int, doc["label"])
+                joints = read_number(int, doc["joints"])
+                channels = read_number(int, doc["channels"])
                 frames = np.asarray(doc["frames"], dtype=np.float64)
             except (KeyError, TypeError, ValueError) as exc:
                 raise DataError(f"{path}:{lineno}: malformed sample: {exc}") from exc

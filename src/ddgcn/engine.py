@@ -5,8 +5,10 @@ whose operands need a gradient gives its output a graph node holding the
 gradient, a backward closure and the parent nodes, but no array; each
 closure keeps only the arrays its formula reads, so an activation that no
 backward reads is freed once the layer code drops it. A :class:`Parameter`
-is its own node. ``backward()`` on a scalar output walks the nodes in
-reverse topological order and accumulates gradients additively into the
+has a leaf node with no closure, which holds its gradient. Nodes are
+numbered as they are made, so an op's node always comes after its
+parents'; ``backward()`` on a scalar output runs the closures from the
+highest number down and accumulates gradients additively into the
 Parameter leaves, releasing each node's gradient, closure and parents as
 it passes, so a graph is single-use. On its first write a node keeps any
 writeable array it is handed as its gradient, whatever its strides, and
@@ -25,6 +27,8 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
+import heapq
+import itertools
 import json
 import math
 from typing import Callable, Iterable, Sequence
@@ -62,15 +66,20 @@ def _spent(g):
                        "run the forward again to differentiate it")
 
 
-class _Node:
-    """The graph side of a taped op output: gradient, backward closure and
-    parent nodes, and no array."""
+_sequence = itertools.count()
 
-    __slots__ = ("grad", "_parents", "_backward")
+
+class _Node:
+    """The graph side of a taped op output or a Parameter: gradient,
+    backward closure, parent nodes and creation number, and no array. A
+    Parameter's leaf has no closure and no parents."""
+
+    __slots__ = ("grad", "_parents", "_backward", "_seq")
     requires_grad = True
 
     def __init__(self, parents, backward):
         self.grad, self._parents, self._backward = None, parents, backward
+        self._seq = next(_sequence)
 
     def _accumulate(self, g: np.ndarray) -> None:
         """Add ``g`` into the gradient. A first write keeps ``g`` itself if
@@ -109,8 +118,8 @@ class Tensor:
     """A float64 array plus, when it needs a gradient, its graph node.
 
     ``requires_grad`` is True for a :class:`Parameter` and for an op output
-    with such an operand; only those outputs get a node of their own, and
-    ``grad``, ``_parents`` and ``_backward`` read through to ``_node``.
+    with such an operand; only those get a node of their own, and ``grad``,
+    ``_parents`` and ``_backward`` read through to ``_node``.
     """
 
     __slots__ = ("data", "_node")
@@ -121,7 +130,7 @@ class Tensor:
         self._node = _Node(parents, _backward) if parents else _CONSTANT
 
     requires_grad = property(lambda self: self._node.requires_grad)
-    grad = property(lambda self: self._node.grad)
+    grad = property(lambda self: self._node.grad, lambda self, g: setattr(self._node, "grad", g))
     _parents = property(lambda self: self._node._parents)
     _backward = property(lambda self: self._node._backward,
                          lambda self, fn: setattr(self._node, "_backward", fn))
@@ -132,8 +141,10 @@ class Tensor:
     def backward(self) -> None:
         """Reverse-mode sweep from a scalar output.
 
-        Each interior node's gradient, closure and parents are released as
-        soon as its closure has run, so a graph can be differentiated once.
+        Pending nodes run from the highest creation number down, so every
+        consumer of a node has run before it. Each node's gradient, closure
+        and parents are released as soon as its closure has run, so a graph
+        can be differentiated once.
         """
         if self.data.size != 1:
             raise ShapeError("backward requires a scalar output")
@@ -141,27 +152,18 @@ class Tensor:
         if not root.requires_grad:
             raise RuntimeError("backward: the output depends on no Parameter, "
                                "or was computed inside no_tape()")
-        topo: list = []
-        visited = {id(root)}
-        stack: list[tuple[object, Iterable]] = [(root, iter(root._parents))]
-        while stack:
-            node, parents = stack[-1]
-            pushed = False
-            for parent in parents:
-                if id(parent) not in visited:
-                    visited.add(id(parent))
-                    stack.append((parent, iter(parent._parents)))
-                    pushed = True
-                    break
-            if not pushed:
-                topo.append(node)
-                stack.pop()
         root._accumulate(np.ones_like(self.data))
-        while topo:
-            node = topo.pop()
-            if node._backward is not None:
-                node._backward(node.grad)
-                node.grad, node._backward, node._parents = None, _spent, ()
+        pending, heap = {root._seq: root}, [-root._seq]
+        while heap:
+            node = pending.pop(-heapq.heappop(heap))
+            if node._backward is None:  # a Parameter's leaf
+                continue
+            node._backward(node.grad)
+            for parent in node._parents:
+                if parent._seq not in pending:
+                    pending[parent._seq] = parent
+                    heapq.heappush(heap, -parent._seq)
+            node.grad, node._backward, node._parents = None, _spent, ()
 
     def item(self) -> float:
         return float(self.data)
@@ -197,23 +199,17 @@ class Tensor:
 
 
 class Parameter(Tensor):
-    """A named trainable tensor and its own graph node: a leaf whose
-    gradients accumulate into ``grad``."""
+    """A named trainable tensor whose leaf node, a node with no closure,
+    accumulates its gradient into ``grad``."""
 
-    __slots__ = ("name", "grad")
-    requires_grad = True
-    _parents = ()
-    _backward = None
-    _accumulate = _Node._accumulate
+    __slots__ = ("name",)
 
     def __init__(self, value, name: str):
-        # no Tensor.__init__: a Parameter is its own node and leaves the _node slot unset
+        # no Tensor.__init__: a leaf node even inside no_tape()
         self.data = _finite(value, "tensor")
         self.name = name
-        self.grad = np.zeros_like(self.data)
-
-    # a property, not a stored self-reference, which would be a reference cycle
-    _node = property(lambda self: self)
+        self._node = _Node((), None)
+        self._node.grad = np.zeros_like(self.data)
 
 
 def _lift(x) -> Tensor:
@@ -604,7 +600,7 @@ def cross_entropy(logits, labels) -> Tensor:
         z = logits.data
     else:
         raise ShapeError(f"cross_entropy: logits must be 1-D or 2-D, got {logits.data.shape}")
-    y = np.atleast_1d(np.asarray(labels, dtype=np.int64))
+    y = np.atleast_1d(_index(labels, "cross_entropy"))
     n, k = z.shape
     if y.shape != (n,):
         raise ShapeError(f"cross_entropy: got {y.shape[0] if y.ndim else 1} labels for {n} rows")

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, read_number
 
 STRATEGIES = ("uniform", "distance", "spatial", "activity")
 
@@ -248,13 +248,16 @@ def topology_from_dict(doc: dict) -> SkeletonTopology:
     """Build a topology from the JSON document format.
 
     Expected keys: num_joints, root, edges ([[parent, child], ...]) and
-    optionally names.
+    optionally names, a list of strings. Joint ids are whole numbers.
     """
     try:
-        num_joints = int(doc["num_joints"])
-        root = int(doc["root"])
-        edges = tuple((int(i), int(j)) for i, j in doc["edges"])
-        names = tuple(str(n) for n in doc["names"]) if doc.get("names") else None
+        num_joints = read_number(int, doc["num_joints"])
+        root = read_number(int, doc["root"])
+        edges = tuple((read_number(int, i), read_number(int, j)) for i, j in doc["edges"])
+        names = doc.get("names")
+        if names is not None and not (isinstance(names, list) and all(isinstance(n, str) for n in names)):
+            raise ValueError(f"names must be a list of strings, got {names!r}")
+        names = tuple(names) if names else None
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed topology document: {exc}") from exc
     return SkeletonTopology(num_joints, edges, root=root, names=names)

@@ -185,6 +185,16 @@ def test_label_out_of_range_is_data_error(tmp_path, capsys):
     assert "too-high" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("label", 0.7, "0.7 is not a whole number"), ("label", True, "True is not a whole number"),
+    ("joints", 5.5, "5.5 is not a whole number"), ("channels", True, "True is not a whole number"),
+])
+def test_fractional_or_boolean_sample_field_is_data_error(tmp_path, capsys, key, value, message):
+    config = file_config(tmp_path, [clip("ok"), {**clip("odd"), key: value}])
+    assert cli.main(["train", "--config", config]) == cli.EXIT_DATA
+    assert f"ds.jsonl:2: malformed sample: {message}" in capsys.readouterr().err
+
+
 def test_channel_mismatch_is_data_error(tmp_path, capsys):
     config = file_config(tmp_path, [clip("flat", channels=2)])
     assert cli.main(["train", "--config", config]) == cli.EXIT_DATA
@@ -248,6 +258,11 @@ def test_unusable_value_is_config_error(tmp_path, capsys, override, key):
     ('topology={"file": "absent.json"}', "cannot read topology file absent.json"),
     ('topology={"num_joints": 2, "root": 0, "edges": [[0, 1]], "names": 5}',
      "malformed topology document"),
+    ('topology={"num_joints": 2.7, "root": 0, "edges": [[0, 1]]}', "2.7 is not a whole number"),
+    ('topology={"num_joints": 2, "root": true, "edges": [[0, 1]]}', "True is not a whole number"),
+    ('topology={"num_joints": 2, "root": 0, "edges": [[0, 1.5]]}', "1.5 is not a whole number"),
+    ('topology={"num_joints": 2, "root": 0, "edges": [[0, 1]], "names": "ab"}',
+     "names must be a list of strings"),
     ("output_dir=config.json", "config.json is not a directory"),
 ])
 def test_unusable_path_or_document_is_config_error(tmp_path, capsys, monkeypatch, override, message):
@@ -362,6 +377,22 @@ def test_export_metrics_passthrough_and_merge(tmp_path, capsys):
 
     assert cli.main(["export-metrics", "--in", str(tmp_path / "none.csv"),
                      "--out", str(tmp_path / "x.csv")]) == cli.EXIT_DATA
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["eval", "--config", "{config}", "--checkpoint", "{dir}"], cli.EXIT_DATA, "cannot read checkpoint"),
+    (["export-metrics", "--in", "{dir}", "--out", "{csv}"], cli.EXIT_DATA, "cannot read metrics file"),
+    (["export-metrics", "--in", "{history}", "--out", "{dir}"], cli.EXIT_CONFIG, "cannot write"),
+    (["inspect-partition", "--config", "{config}", "--csv", "{dir}"], cli.EXIT_CONFIG, "cannot write"),
+])
+def test_a_directory_path_exits_with_its_code(tmp_path, capsys, argv, code, message):
+    history = tmp_path / "history.csv"
+    history.write_text("epoch,lr,loss,accuracy\n0,0.1,1.0,0.5\n")
+    paths = {"config": write_config(tmp_path, base_config(tmp_path)), "dir": str(tmp_path / "folder"),
+             "csv": str(tmp_path / "out.csv"), "history": str(history)}
+    (tmp_path / "folder").mkdir()
+    assert cli.main([arg.format(**paths) for arg in argv]) == code
+    assert message in capsys.readouterr().err
 
 
 def test_argparse_rejects_unknown_command():

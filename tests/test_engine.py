@@ -412,6 +412,9 @@ def test_shape_errors_name_the_primitive():
             eg.take(x, index, axis=0)
     with pytest.raises(ShapeError, match="gather: index must hold integers"):
         eg.gather(Tensor(np.ones(4)), np.array([[0.0, 1.5]]))
+    for labels in (0.7, [0, 1.5], True):
+        with pytest.raises(ShapeError, match="cross_entropy: index must hold integers"):
+            eg.cross_entropy(Tensor(np.zeros((np.size(labels), 3))), labels)
     assert eg.take(x, [], axis=1).shape == (2, 0, 4)
 
 
@@ -470,6 +473,51 @@ def test_second_backward_raises():
         eg.mean_pool(eg.mul(q, p), axis=0).backward()
 
 
+def _root_parameter():
+    p = Parameter(np.array(3.0), "p")
+    return p, p, 1.0
+
+
+def _long_chain():
+    # deeper than the default recursion limit: the sweep must not recurse
+    p = Parameter(np.array([2.0]), "p")
+    h = p
+    for _ in range(20_000):
+        h = eg.scalar_mul(h, 1.0 + 1e-5)
+    return eg.mean_pool(h, axis=0), p, (1.0 + 1e-5) ** 20_000
+
+
+def _three_branches():
+    # h's consumers sit 5 ops, 1 op and 2 ops below the loss; all must run before h
+    p = Parameter(rng.uniform(-1, 1, (3, 4)), "p")
+    r = rng.standard_normal((3, 4))
+    h = eg.scalar_mul(p, 1.5)
+    deep = h
+    for _ in range(5):
+        deep = eg.scalar_mul(deep, 0.5)
+    loss = weighted_sum(deep + h + eg.tanh(h), r)
+    return loss, p, 1.5 * r * (0.5 ** 5 + 2.0 - np.tanh(1.5 * p.data) ** 2)
+
+
+def _through_a_spent_node():
+    p = Parameter(np.array([2.0]), "p")
+    q = eg.mul(p, p)
+    eg.mean_pool(q, axis=0).backward()
+    return eg.mean_pool(eg.mul(q, p), axis=0), p, RuntimeError("already released")
+
+
+@pytest.mark.parametrize("build", [_root_parameter, _long_chain, _three_branches, _through_a_spent_node],
+                         ids=["root_parameter", "long_chain", "three_branches", "through_a_spent_node"])
+def test_the_sweep_runs_each_closure_after_all_its_consumers(build):
+    loss, p, expected = build()
+    if isinstance(expected, Exception):
+        with pytest.raises(type(expected), match=str(expected)):
+            loss.backward()
+    else:
+        loss.backward()
+        npt.assert_allclose(p.grad, expected, rtol=1e-10)
+
+
 def test_constant_operands_collect_no_gradient():
     w = Parameter(rng.standard_normal((3, 2)), "w")
     c = Tensor(rng.standard_normal((4, 3)))
@@ -507,7 +555,7 @@ def test_no_tape_keeps_checks_and_restores_recording_on_error():
             with eg.no_tape():
                 eg.scalar_mul(Tensor(np.array(1e308)), 1e10)
     out = eg.mul(p, p)
-    assert out.requires_grad and out._parents == (p, p)
+    assert out.requires_grad and out._parents == (p._node, p._node)
 
 
 def test_tape_keeps_only_what_backward_reads():
