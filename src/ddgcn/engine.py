@@ -19,6 +19,12 @@ record no graph at all. All primitives raise :class:`ShapeError` on
 operand mismatch and :class:`NumericError` if they produce a non-finite
 value.
 
+A bias rides inside the op it follows: ``softmax(scores, bias)`` adds an
+attention bias in the buffer it normalizes, and ``matmul(x, w, bias)`` adds
+a projection bias into the GEMM output, so neither needs an ``add`` and its
+activation-sized output. ``softmax`` and ``layer_norm`` work in one buffer
+and take their row sums with ``einsum``, without a product temporary.
+
 A central finite-difference oracle (:func:`finite_difference_grad`) is
 provided for checking the recorded adjoints.
 """
@@ -314,12 +320,14 @@ def scalar_mul(a, c: float) -> Tensor:
     return Tensor(c * a.data, (na,), bw, "scalar_mul")
 
 
-def matmul(a, b) -> Tensor:
+def matmul(a, b, bias=None) -> Tensor:
     """Matrix product with NumPy broadcasting over leading axes.
 
     A 2-D ``b`` (a weight) folds the leading axes of ``a`` into one
     (N, C_in) matrix, so each direction is a single GEMM and the weight
-    gradient is formed without a per-leading-index stack of products.
+    gradient is formed without a per-leading-index stack of products. Only
+    then may a (C_out,) ``bias`` be given: it is added in place into the
+    GEMM output, and its gradient is the column sum of the output gradient.
     """
     a, b = _lift(a), _lift(b)
     if a.ndim < 2 or b.ndim < 2:
@@ -331,20 +339,30 @@ def matmul(a, b) -> Tensor:
     a_data = a.data if nb.requires_grad else None
     b_data = b.data if na.requires_grad else None
 
+    if bias is not None:
+        bias = _lift(bias)
+        if b.ndim != 2 or bias.data.shape != b_shape[-1:]:
+            raise ShapeError(f"matmul: a bias needs a 2-D right operand and shape ({b_shape[-1]},), "
+                             f"got bias {bias.data.shape} with right operand {b_shape}")
     if b.ndim == 2:
         c_in, c_out = b_shape
         out_shape = a_shape[:-1] + (c_out,)
+        nbias = _CONSTANT if bias is None else bias._node
 
         # bw rebuilds the (N, C_in) view from a's data, so the closure keeps no extra copy
         def bw_folded(g):
             g2 = g.reshape(-1, c_out)
+            if nbias.requires_grad:
+                nbias._accumulate(g2.sum(axis=0))
             if na.requires_grad:
                 na._accumulate((g2 @ b_data.T).reshape(a_shape))
             if nb.requires_grad:
                 nb._accumulate(a_data.reshape(-1, c_in).T @ g2)
 
-        out_val = (a.data.reshape(-1, c_in) @ b.data).reshape(out_shape)
-        return Tensor(out_val, (na, nb), bw_folded, "matmul")
+        out_val = a.data.reshape(-1, c_in) @ b.data
+        if bias is not None:
+            out_val += bias.data
+        return Tensor(out_val.reshape(out_shape), (na, nb, nbias), bw_folded, "matmul")
 
     def bw(g):
         if na.requires_grad:
@@ -376,56 +394,98 @@ def relu(a) -> Tensor:
     return Tensor(out_val, (na,), bw, "relu")
 
 
-def softmax(a) -> Tensor:
-    """Softmax over the last axis, numerically stabilized."""
+def _last_axis(t: Tensor, op: str) -> int:
+    """The length of ``t``'s last axis, which a row reduction needs non-empty."""
+    if t.ndim == 0 or t.data.shape[-1] == 0:
+        raise ShapeError(f"{op}: needs a non-empty last axis, got shape {t.data.shape}")
+    return t.data.shape[-1]
+
+
+def _rows(s: np.ndarray, t: np.ndarray | None = None) -> np.ndarray:
+    """Sums over the last axis of ``s``, or of ``s * t`` without forming the
+    product, kept as a length-1 axis."""
+    total = np.einsum("...i->...", s) if t is None else np.einsum("...i,...i->...", s, t)
+    return total[..., None]
+
+
+def softmax(a, bias=None) -> Tensor:
+    """Softmax over the last axis of ``a + bias``, numerically stabilized.
+
+    ``bias`` (an attention bias) must broadcast onto ``a`` without enlarging
+    it. The sum, the shift by the row max, the exponential and the
+    normalization all run in one buffer, which is the output and the only
+    array backward reads; the bias gradient is reduced the way ``add``
+    reduces it.
+    """
     a = _lift(a)
+    _last_axis(a, "softmax")
     na = a._node
-    s = a.data - a.data.max(axis=-1, keepdims=True)
+    if bias is None:
+        nbias, bias_shape = _CONSTANT, None
+        s = a.data - a.data.max(axis=-1, keepdims=True)
+    else:
+        bias = _lift(bias)
+        if _binary_shapes(a, bias, "softmax") != a.data.shape:
+            raise ShapeError(f"softmax: bias {bias.data.shape} does not broadcast onto {a.data.shape}")
+        nbias, bias_shape = bias._node, bias.data.shape
+        s = a.data + bias.data
+        s -= s.max(axis=-1, keepdims=True)
     np.exp(s, out=s)
-    s /= s.sum(axis=-1, keepdims=True)
+    s /= _rows(s)
 
     def bw(g):
-        inner = (g * s).sum(axis=-1, keepdims=True)
-        g -= inner
+        g -= _rows(g, s)
         g *= s
         na._accumulate(g)
+        if nbias.requires_grad:
+            gb = _unbroadcast(g, bias_shape)
+            # a may have kept g: the bias gets a read-only view and copies it if it would keep it
+            nbias._accumulate(np.broadcast_to(gb, bias_shape) if na.requires_grad else gb)
 
-    return Tensor(s, (na,), bw, "softmax")
+    return Tensor(s, (na, nbias), bw, "softmax")
 
 
 def layer_norm(x, gamma=None, beta=None, eps: float = 1e-8) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then optionally
-    apply the per-channel affine map gamma * xhat + beta."""
+    apply the per-channel affine map gamma * xhat + beta.
+
+    Centering and scaling run in one buffer, the normalized ``xhat`` that
+    backward reads; the affine map adds beta in place into gamma * xhat.
+    Backward computes the input gradient in place in the output gradient.
+    """
     x = _lift(x)
-    d = x.data.shape[-1]
+    d = _last_axis(x, "layer_norm")
     if gamma is not None and gamma.data.shape != (d,):
         raise ShapeError(f"layer_norm: gamma shape {gamma.data.shape} does not match channels {d}")
     if beta is not None and beta.data.shape != (d,):
         raise ShapeError(f"layer_norm: beta shape {beta.data.shape} does not match channels {d}")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    centered = x.data - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = centered * inv
-    out_val = xhat if gamma is None else gamma.data * xhat
+    xhat = x.data - _rows(x.data) / d
+    inv = 1.0 / np.sqrt(_rows(xhat, xhat) / d + eps)
+    xhat *= inv
+    out_val = xhat if gamma is None else xhat * gamma.data
     if beta is not None:
-        out_val = out_val + beta.data
-    nx, reduce_axes = x._node, tuple(range(x.data.ndim - 1))
-    gamma_data, ngamma = (None, None) if gamma is None else (gamma.data, gamma._node)
-    nbeta = None if beta is None else beta._node
+        # in place, unless out_val is still the xhat backward reads
+        out_val = xhat + beta.data if gamma is None else np.add(out_val, beta.data, out=out_val)
+    nx = x._node
+    gamma_data, ngamma = (None, _CONSTANT) if gamma is None else (gamma.data, gamma._node)
+    nbeta = _CONSTANT if beta is None else beta._node
 
     def bw(g):
-        gh = g if gamma_data is None else g * gamma_data
-        dx = inv * (gh - gh.mean(axis=-1, keepdims=True)
-                    - xhat * (gh * xhat).mean(axis=-1, keepdims=True))
-        nx._accumulate(dx)
-        if ngamma is not None:
-            ngamma._accumulate((g * xhat).sum(axis=reduce_axes))
-        if nbeta is not None:
-            nbeta._accumulate(g.sum(axis=reduce_axes))
+        g2 = g.reshape(-1, d)
+        if ngamma.requires_grad:
+            ngamma._accumulate(np.einsum("ni,ni->i", g2, xhat.reshape(-1, d)))
+        if nbeta.requires_grad:
+            nbeta._accumulate(np.einsum("ni->i", g2))
+        if nx.requires_grad:
+            if gamma_data is not None:
+                g *= gamma_data
+            mean, mean_xhat = _rows(g) / d, _rows(g, xhat) / d
+            g -= mean
+            g -= xhat * mean_xhat
+            g *= inv
+            nx._accumulate(g)
 
-    parents = tuple(n for n in (nx, ngamma, nbeta) if n is not None)
-    return Tensor(out_val, parents, bw, "layer_norm")
+    return Tensor(out_val, (nx, ngamma, nbeta), bw, "layer_norm")
 
 
 def mean_pool(a, axis) -> Tensor:

@@ -197,7 +197,7 @@ class STSE:
         """Project (B, n, L, C) tokens and split the heads: (B, n, H, L, C/H),
         or (B, n, H, C/H, L) when ``transposed``."""
         b, n, length, c = tokens.shape
-        mapped = tokens @ proj if bias is None else tokens @ proj + bias
+        mapped = eg.matmul(tokens, proj, bias)
         p = eg.reshape(mapped, (b, n, length, self.heads, c // self.heads))
         return eg.transpose(p, (0, 1, 3, 4, 2) if transposed else (0, 1, 3, 2, 4))
 
@@ -206,12 +206,12 @@ class STSE:
         # scale the (..., L, head_dim) queries, not the (..., L, L) scores
         q = eg.scalar_mul(self._heads(tokens, self.wq, self.bq), 1.0 / np.sqrt(self.channels // self.heads))
         scores = q @ self._heads(tokens, self.wk, transposed=True)
-        return eg.softmax(scores + eg.gather(self.bias_tables, self.rel_index))
+        return eg.softmax(scores, eg.gather(self.bias_tables, self.rel_index))
 
     def attend(self, tokens: Tensor) -> Tensor:
         """Multi-head attention inside each window; (B, n, L, C) -> same."""
         ctx = self.attention(tokens) @ self._heads(tokens, self.wv, self.bv)
-        return eg.reshape(eg.transpose(ctx, (0, 1, 3, 2, 4)), tokens.shape) @ self.wo + self.bo
+        return eg.matmul(eg.reshape(eg.transpose(ctx, (0, 1, 3, 2, 4)), tokens.shape), self.wo, self.bo)
 
     def forward(self, x) -> Tensor:
         """(B, T, V, C) -> (B, ceil(T / stride), V, C)."""
@@ -345,11 +345,11 @@ class DDGCNModel:
         v, c = self.config.topology.num_joints, self.config.in_channels
         if xb.shape[2] != v or xb.shape[3] != c:
             raise ShapeError(f"model expects {v} joints x {c} channels, got {xb.shape}")
-        h = xb @ self.embed_w + self.embed_b
+        h = eg.matmul(xb, self.embed_w, self.embed_b)
         for layer in self.layers:
             h = layer.forward(h)
         feat = eg.mean_pool(h, axis=(1, 2))
-        out = feat @ self.head_w + self.head_b
+        out = eg.matmul(feat, self.head_w, self.head_b)
         return eg.reshape(out, out.shape[1:]) if squeeze else out
 
     def forward(self, x) -> Tensor:

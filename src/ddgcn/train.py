@@ -177,6 +177,11 @@ def read_history_csv(path: str | Path) -> list[HistoryRow]:
         if reader.fieldnames is None or tuple(reader.fieldnames) != HISTORY_FIELDS:
             raise ValueError(f"{path}: expected header {','.join(HISTORY_FIELDS)}")
         for rec in reader:
+            # DictReader files extra cells under None and fills missing ones with None
+            if None in rec or None in rec.values():
+                raise ValueError(f"{path}, line {reader.line_num}: expected {len(HISTORY_FIELDS)} cells "
+                                 f"({','.join(HISTORY_FIELDS)}), the row has "
+                                 f"{'more' if None in rec else 'fewer'}")
             rows.append(HistoryRow(epoch=int(rec["epoch"]), lr=float(rec["lr"]),
                                    loss=float(rec["loss"]), accuracy=float(rec["accuracy"])))
     return rows

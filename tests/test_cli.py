@@ -379,6 +379,17 @@ def test_export_metrics_passthrough_and_merge(tmp_path, capsys):
                      "--out", str(tmp_path / "x.csv")]) == cli.EXIT_DATA
 
 
+@pytest.mark.parametrize("row, count", [("0,0.1", "fewer"), ("0,0.1,1.0,0.5,9", "more")])
+def test_export_metrics_names_a_row_with_missing_or_extra_cells(tmp_path, capsys, row, count):
+    history = tmp_path / "history.csv"
+    history.write_text(f"epoch,lr,loss,accuracy\n0,0.1,1.0,0.5\n{row}\n")
+    out = tmp_path / "out.csv"
+    assert cli.main(["export-metrics", "--in", str(history), "--out", str(out)]) == cli.EXIT_DATA
+    assert f"{history}, line 3: expected 4 cells (epoch,lr,loss,accuracy), the row has {count}" \
+        in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv, code, message", [
     (["eval", "--config", "{config}", "--checkpoint", "{dir}"], cli.EXIT_DATA, "cannot read checkpoint"),
     (["export-metrics", "--in", "{dir}", "--out", "{csv}"], cli.EXIT_DATA, "cannot read metrics file"),

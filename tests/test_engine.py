@@ -254,6 +254,97 @@ def test_grad_layer_norm():
     check_grads(lambda: weighted_sum(eg.layer_norm(x), r), [x])
 
 
+# ---------------------------------------------------------------------------
+# Fused operands: softmax(a, bias), matmul(x, w, bias), layer_norm in one buffer
+# ---------------------------------------------------------------------------
+
+FUSED_TOL = 1e-14
+
+
+def _operand(shape, name, trained):
+    """A Parameter named ``name`` when it is in ``trained``, else a constant."""
+    value = rng.uniform(-1, 1, shape)
+    return Parameter(value, name) if name in trained else Tensor(value)
+
+
+def _value_and_grads(build, params, weights):
+    eg.zero_grads(params)
+    out = build()
+    weighted_sum(out, weights).backward()
+    return out.data, [p.grad.copy() for p in params]
+
+
+def assert_fused_matches_plain(fused, plain, operands, weights):
+    """Same values and Parameter gradients within FUSED_TOL relative, and
+    gradients that agree with central differences."""
+    params = [t for t in operands if isinstance(t, Parameter)]
+    value, grads = _value_and_grads(fused, params, weights)
+    expected, expected_grads = _value_and_grads(plain, params, weights)
+    assert eg.relative_error(value, expected) <= FUSED_TOL
+    for p, got, want in zip(params, grads, expected_grads):
+        assert eg.relative_error(got, want) <= FUSED_TOL, p.name
+    check_grads(lambda: weighted_sum(fused(), weights), params)
+
+
+@pytest.mark.parametrize("a_shape, bias_shape, trained", [
+    ((2, 3, 4, 5, 5), (4, 5, 5), "a bias"),  # an (H, L, L) bias onto (B, n, H, L, L) scores
+    ((3, 4, 6), (3, 4, 6), "a bias"),
+    ((2, 3, 6), (1, 3, 6), "a bias"),
+    ((2, 3, 6), (3, 6), "a"),  # a constant bias
+    ((2, 4, 6), (4, 6), "bias"),  # the bias is the only Parameter
+])
+def test_softmax_with_a_bias_matches_softmax_of_the_sum(a_shape, bias_shape, trained):
+    a, bias = _operand(a_shape, "a", trained.split()), _operand(bias_shape, "bias", trained.split())
+
+    # interior operands scale their gradient in place, so one shared with the other would show
+    def operands():
+        return eg.scalar_mul(a, 2.0), eg.scalar_mul(bias, 3.0)
+
+    assert_fused_matches_plain(lambda: eg.softmax(*operands()), lambda: eg.softmax(eg.add(*operands())),
+                               (a, bias), rng.standard_normal(a_shape))
+
+
+@pytest.mark.parametrize("x_shape, trained", [
+    ((5, 4), "x w b"),
+    ((2, 3, 5, 4), "x w b"),
+    ((2, 3, 4), "x w"),  # a constant bias
+    ((2, 3, 4), "x b"),  # a constant weight
+    ((2, 3, 4), "b"),  # the bias is the only Parameter
+])
+def test_matmul_with_a_bias_matches_the_product_plus_the_bias(x_shape, trained):
+    x, w, b = (_operand(shape, name, trained.split())
+               for shape, name in ((x_shape, "x"), ((4, 3), "w"), ((3,), "b")))
+    assert_fused_matches_plain(lambda: eg.matmul(x, w, b), lambda: eg.add(eg.matmul(x, w), b),
+                               (x, w, b), rng.standard_normal(x_shape[:-1] + (3,)))
+
+
+@pytest.mark.parametrize("affine", ["", "gamma", "beta", "gamma beta"])
+def test_layer_norm_matches_the_textbook_formula(affine):
+    x = Parameter(rng.standard_normal((3, 4, 8)) * 3.0 + 1.0, "x")
+    gamma = Parameter(rng.uniform(0.5, 1.5, 8), "gamma") if "gamma" in affine else None
+    beta = Parameter(rng.uniform(-0.5, 0.5, 8), "beta") if "beta" in affine else None
+    params = [p for p in (x, gamma, beta) if p is not None]
+    r = rng.standard_normal(x.shape)
+    eg.zero_grads(params)
+    out = eg.layer_norm(x, gamma, beta)
+    weighted_sum(out, r).backward()
+
+    eps, scale = 1e-8, 1.0 if gamma is None else gamma.data
+    inv = 1.0 / np.sqrt(x.data.var(axis=-1, keepdims=True) + eps)
+    xhat = (x.data - x.data.mean(axis=-1, keepdims=True)) * inv
+    expected = xhat * scale + (0.0 if beta is None else beta.data)
+    assert eg.relative_error(out.data, expected) <= 1e-14
+    gh = r * scale
+    dx = inv * (gh - gh.mean(axis=-1, keepdims=True)
+                - xhat * (gh * xhat).mean(axis=-1, keepdims=True))
+    assert eg.relative_error(x.grad, dx) <= 1e-13
+    if gamma is not None:
+        assert eg.relative_error(gamma.grad, (r * xhat).sum(axis=(0, 1))) <= 1e-13
+    if beta is not None:
+        assert eg.relative_error(beta.grad, r.sum(axis=(0, 1))) <= 1e-13
+    check_grads(lambda: weighted_sum(eg.layer_norm(x, gamma, beta), r), params)
+
+
 def test_grad_mean_pool():
     x = Parameter(rng.uniform(-1, 1, (2, 5, 3)), "x")
     r1 = rng.standard_normal((2, 3))
@@ -416,6 +507,20 @@ def test_shape_errors_name_the_primitive():
         with pytest.raises(ShapeError, match="cross_entropy: index must hold integers"):
             eg.cross_entropy(Tensor(np.zeros((np.size(labels), 3))), labels)
     assert eg.take(x, [], axis=1).shape == (2, 0, 4)
+    # a softmax bias must broadcast onto the scores without enlarging them
+    scores = Tensor(np.ones((2, 3)))
+    for shape in ((2, 2, 3), (4,), (2, 1, 1)):
+        with pytest.raises(ShapeError, match="softmax"):
+            eg.softmax(scores, Tensor(np.ones(shape)))
+    # a matmul bias is (C_out,), and only with a 2-D right operand
+    for w_shape, b_shape in (((3, 4), (3,)), ((3, 4), (1, 4)), ((3, 4), ()), ((2, 3, 4), (4,))):
+        with pytest.raises(ShapeError, match="matmul"):
+            eg.matmul(scores, Tensor(np.ones(w_shape)), Tensor(np.ones(b_shape)))
+    # a row reduction needs a non-empty last axis: no NumPy error or warning
+    for op in (eg.softmax, eg.layer_norm):
+        for shape in ((2, 0), (0,), ()):
+            with pytest.raises(ShapeError, match=op.__name__):
+                op(Tensor(np.ones(shape)))
 
 
 def test_non_finite_raises():
@@ -581,6 +686,27 @@ def test_tape_keeps_only_what_backward_reads():
     assert refs[2]() is None
     for p in (q, k, bias):
         assert eg.relative_error(p.grad, eg.finite_difference_grad(f, p)) <= GRAD_TOL
+
+    # the fused forms: softmax(scores, bias) keeps only its output ...
+    scores = q @ k
+    probs = eg.softmax(scores, bias)
+    out = weighted_sum(probs, r)
+    scores_ref, probs_ref = weakref.ref(scores.data), weakref.ref(probs.data)
+    del scores, probs
+    assert scores_ref() is None and probs_ref() is not None
+    out.backward()
+    assert probs_ref() is None
+    # ... and matmul(x, w, b) keeps x only when w needs a gradient, and nothing of b
+    p, c = Parameter(rng.standard_normal((2, 3, 4)), "p"), Parameter(rng.standard_normal(5), "c")
+    for w, keeps_x in ((Parameter(rng.standard_normal((4, 5)), "w"), True),
+                       (Tensor(rng.standard_normal((4, 5))), False)):
+        x, b = eg.scalar_mul(p, 2.0), eg.scalar_mul(c, 2.0)  # interior operands
+        out = weighted_sum(eg.matmul(x, w, b), rng.standard_normal((2, 3, 5)))
+        x_ref, b_ref = weakref.ref(x.data), weakref.ref(b.data)
+        del x, b
+        assert (x_ref() is not None) == keeps_x and b_ref() is None
+        out.backward()
+        assert x_ref() is None
 
     x = Parameter(rng.uniform(0.5, 1.5, (3, 4)) * rng.choice([-1.0, 1.0], (3, 4)), "x")
     pre = eg.scalar_mul(x, 2.0)

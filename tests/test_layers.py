@@ -1,4 +1,6 @@
+import collections
 import gc
+import inspect
 import json
 import weakref
 
@@ -394,6 +396,33 @@ def test_model_forward_probabilities():
     batch_probs = model.forward(batch).data
     assert batch_probs.shape == (3, 4)
     npt.assert_allclose(batch_probs.sum(axis=1), 1.0, atol=1e-9)
+
+
+def test_a_toy5_loss_makes_196_primitive_calls_and_no_add_in_attention(monkeypatch):
+    # the biases ride in matmul and softmax: 18 calls fewer than with an add per bias
+    model = layers.DDGCNModel(reduced_config(), seed=0)
+    calls, in_attention = collections.Counter(), []
+    # count through the engine's module globals, as perfbench's tracer does
+    for name in eg.__all__:
+        fn = getattr(eg, name)
+        if inspect.isfunction(fn) and inspect.signature(fn).return_annotation == "Tensor":
+            def counted(*args, _name=name, _fn=fn, **kwargs):
+                calls[_name, bool(in_attention)] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(eg, name, counted)
+    attention = layers.STSE.attention
+
+    def spied(self, tokens):
+        in_attention.append(self)
+        try:
+            return attention(self, tokens)
+        finally:
+            in_attention.pop()
+    monkeypatch.setattr(layers.STSE, "attention", spied)
+    x = np.random.default_rng(1).uniform(-1, 1, (64, 16, 5, 3))
+    eg.cross_entropy(model.logits(x), np.arange(64) % 4)  # one step's forward, as engine.calls counts it
+    assert sum(calls.values()) == 196, calls
+    assert calls["softmax", True] == len(model.layers) and calls["add", True] == 0
 
 
 def test_model_rejects_wrong_input():
