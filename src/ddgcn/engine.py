@@ -25,6 +25,14 @@ a projection bias into the GEMM output, so neither needs an ``add`` and its
 activation-sized output. ``softmax`` and ``layer_norm`` work in one buffer
 and take their row sums with ``einsum``, without a product temporary.
 
+Every op allocates fresh activation-sized arrays, and a step frees most of
+them again. Under glibc, importing this module sets the allocator to keep
+that memory in the process (see ``_keep_freed_memory``): arrays up to
+32 MiB come from the heap, and the heap top is not handed back to the
+kernel, so the next op reuses the pages instead of faulting them in anew.
+Arrays above 32 MiB are still mapped and unmapped one by one. No value
+changes.
+
 A central finite-difference oracle (:func:`finite_difference_grad`) is
 provided for checking the recorded adjoints.
 """
@@ -33,7 +41,7 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
-import heapq
+import ctypes
 import itertools
 import json
 import math
@@ -52,6 +60,30 @@ __all__ = [
     "grad_check", "save_checkpoint", "load_checkpoint", "assign_checkpoint",
 ]
 
+
+def _keep_freed_memory() -> bool:
+    """Under glibc, keep freed memory in the process for the next op.
+
+    Sets ``M_MMAP_THRESHOLD`` to 32 MiB (glibc's largest on 64-bit), so
+    arrays below it come from the heap instead of fresh mappings, and
+    ``M_TRIM_THRESHOLD`` to the largest value ``mallopt`` takes, so freeing
+    a step's activations does not hand the heap top back to the kernel for
+    the next op to fault in again. Setting either one turns off glibc's
+    dynamic thresholds, and either one alone faults more than the default,
+    so the trim threshold is set only once the mmap threshold took.
+    Returns whether both took; on another C library it does nothing.
+    """
+    try:
+        libc = ctypes.CDLL("libc.so.6")  # glibc's soname
+    except OSError:
+        return False
+    mallopt = libc.mallopt
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    m_trim_threshold, m_mmap_threshold = -1, -3  # from glibc's <malloc.h>
+    return mallopt(m_mmap_threshold, 32 << 20) == 1 and mallopt(m_trim_threshold, 2**31 - 1) == 1
+
+
+_keep_freed_memory()
 
 _taping = contextvars.ContextVar("ddgcn_taping", default=True)
 
@@ -147,10 +179,12 @@ class Tensor:
     def backward(self) -> None:
         """Reverse-mode sweep from a scalar output.
 
-        Pending nodes run from the highest creation number down, so every
-        consumer of a node has run before it. Each node's gradient, closure
-        and parents are released as soon as its closure has run, so a graph
-        can be differentiated once.
+        A walk that runs no closure first collects the reachable nodes, and
+        refuses a graph through a node an earlier backward released before
+        any gradient moves. The nodes then run from the highest creation
+        number down, so every consumer of a node has run before it. Each
+        node's gradient, closure and parents are released as soon as its
+        closure has run, so a graph can be differentiated once.
         """
         if self.data.size != 1:
             raise ShapeError("backward requires a scalar output")
@@ -158,17 +192,21 @@ class Tensor:
         if not root.requires_grad:
             raise RuntimeError("backward: the output depends on no Parameter, "
                                "or was computed inside no_tape()")
+        reached, stack = {root._seq: root}, [root]
+        while stack:
+            node = stack.pop()
+            if node._backward is _spent:
+                _spent(None)
+            for parent in node._parents:
+                if parent._seq not in reached:
+                    reached[parent._seq] = parent
+                    stack.append(parent)
         root._accumulate(np.ones_like(self.data))
-        pending, heap = {root._seq: root}, [-root._seq]
-        while heap:
-            node = pending.pop(-heapq.heappop(heap))
+        for seq in sorted(reached, reverse=True):
+            node = reached.pop(seq)
             if node._backward is None:  # a Parameter's leaf
                 continue
             node._backward(node.grad)
-            for parent in node._parents:
-                if parent._seq not in pending:
-                    pending[parent._seq] = parent
-                    heapq.heappush(heap, -parent._seq)
             node.grad, node._backward, node._parents = None, _spent, ()
 
     def item(self) -> float:
@@ -492,9 +530,9 @@ def mean_pool(a, axis) -> Tensor:
     """Mean over one axis or a tuple of axes (dimensions are dropped)."""
     a = _lift(a)
     axes = _axis_indices((axis,) if isinstance(axis, (int, np.integer)) else axis, a.ndim, "mean_pool")
-    count = 1
-    for ax in axes:
-        count *= a.data.shape[ax]
+    count = math.prod(a.data.shape[ax] for ax in axes)
+    if count == 0:
+        raise ShapeError(f"mean_pool: axes {axes} of {a.data.shape} hold no entries to average")
     na, a_shape = a._node, a.data.shape
 
     # the view is read-only, so the first write copies it and += broadcasts it
@@ -526,6 +564,8 @@ def temporal_conv(x, weight, groups: int, stride: int = 1) -> Tensor:
         raise ShapeError(f"temporal_conv: weight expects {c_in_g} channels per group, input provides {c_in // groups}")
     if stride < 1:
         raise ShapeError("temporal_conv: stride must be >= 1")
+    if t == 0:
+        raise ShapeError(f"temporal_conv: needs at least one frame, got input {x.data.shape}")
 
     t_out = -(-t // stride)
     pad_total = max((t_out - 1) * stride + kernel - t, 0)
@@ -662,6 +702,8 @@ def cross_entropy(logits, labels) -> Tensor:
         raise ShapeError(f"cross_entropy: logits must be 1-D or 2-D, got {logits.data.shape}")
     y = np.atleast_1d(_index(labels, "cross_entropy"))
     n, k = z.shape
+    if n == 0:
+        raise ShapeError(f"cross_entropy: needs at least one row, got logits {logits.data.shape}")
     if y.shape != (n,):
         raise ShapeError(f"cross_entropy: got {y.shape[0] if y.ndim else 1} labels for {n} rows")
     if y.min() < 0 or y.max() >= k:

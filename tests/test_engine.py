@@ -1,6 +1,8 @@
 import importlib.util
 import inspect
 import json
+import platform
+import resource
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -9,7 +11,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from ddgcn import engine as eg, graph, layers
+from ddgcn import data, engine as eg, graph, layers, train
 from ddgcn.checks import weighted_sum
 from ddgcn.engine import Parameter, Tensor
 from ddgcn.errors import NumericError, ShapeError
@@ -516,11 +518,16 @@ def test_shape_errors_name_the_primitive():
     for w_shape, b_shape in (((3, 4), (3,)), ((3, 4), (1, 4)), ((3, 4), ()), ((2, 3, 4), (4,))):
         with pytest.raises(ShapeError, match="matmul"):
             eg.matmul(scores, Tensor(np.ones(w_shape)), Tensor(np.ones(b_shape)))
-    # a row reduction needs a non-empty last axis: no NumPy error or warning
-    for op in (eg.softmax, eg.layer_norm):
-        for shape in ((2, 0), (0,), ()):
-            with pytest.raises(ShapeError, match=op.__name__):
-                op(Tensor(np.ones(shape)))
+    # a reduction needs a non-empty axis: no NumPy error or warning
+    empty = [(op, (Tensor(np.ones(shape)),)) for op in (eg.softmax, eg.layer_norm)
+             for shape in ((2, 0), (0,), ())]
+    empty += [(eg.cross_entropy, (Tensor(np.zeros((0, 3))), [])),
+              (eg.mean_pool, (Tensor(np.zeros((2, 0))), 1)),
+              (eg.mean_pool, (Tensor(np.zeros((0, 2, 3))), (0, 2))),
+              (eg.temporal_conv, (Tensor(np.zeros((1, 0, 2, 4))), Tensor(np.ones((4, 1, 3))), 4))]
+    for op, args in empty:
+        with pytest.raises(ShapeError, match=op.__name__):
+            op(*args)
 
 
 def test_non_finite_raises():
@@ -573,9 +580,10 @@ def test_second_backward_raises():
     out.backward()
     with pytest.raises(RuntimeError, match="already released"):
         out.backward()
-    # a new graph through a released node must not yield partial gradients
+    # a new graph through a released node is refused before any gradient moves
     with pytest.raises(RuntimeError, match="already released"):
         eg.mean_pool(eg.mul(q, p), axis=0).backward()
+    npt.assert_array_equal(p.grad, [4.0])
 
 
 def _root_parameter():
@@ -1017,3 +1025,32 @@ def test_every_primitive_is_traced_by_the_benchmark():
                   and inspect.signature(getattr(eg, name)).return_annotation == "Tensor"}
     assert {"matmul", "softmax", "temporal_conv", "take"} <= primitives
     assert primitives <= set(tracing.PRIMITIVES), primitives - set(tracing.PRIMITIVES)
+
+
+# ---------------------------------------------------------------------------
+# Allocator policy
+# ---------------------------------------------------------------------------
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the policy is set under glibc only")
+def test_a_warm_training_step_faults_no_freed_memory_back_in():
+    # under glibc's default policy the heap top a step frees goes back to the
+    # kernel, and the next step faults it in again: 12K–16K minor faults here
+    assert eg._keep_freed_memory()
+    topo = graph.get_topology("toy5")
+    config = layers.ModelConfig(topology=topo, num_classes=4, channels=(16, 16, 32, 32),
+                                strides=(1, 1, 2, 1), window=WindowSpec(4, 5), heads=4)
+    dataset = data.generate_synthetic(data.SyntheticSpec(
+        num_classes=4, samples_per_class=16, frames=16, topology=topo, noise_std=0.1, seed=1))
+    faults = []  # the process's minor faults after each one-step epoch
+    train.train(layers.DDGCNModel(config, seed=0), dataset,
+                train.TrainConfig(epochs=3, batch_size=64, base_lr=1e-3),
+                log=lambda row: faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt))
+    assert faults[2] - faults[1] < 1000, faults
+
+
+def test_the_allocator_policy_is_left_alone_without_glibc(monkeypatch):
+    def no_library(name):
+        raise OSError(f"{name}: cannot open shared object file")
+
+    monkeypatch.setattr(eg.ctypes, "CDLL", no_library)
+    assert eg._keep_freed_memory() is False
