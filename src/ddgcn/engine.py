@@ -16,8 +16,13 @@ copies only a read-only view. So a closure hands every array, and every
 part of one buffer, to one node only, always in that node's shape, and
 computes in place in the gradient it is given. Inside :func:`no_tape` ops
 record no graph at all. All primitives raise :class:`ShapeError` on
-operand mismatch and :class:`NumericError` if they produce a non-finite
-value.
+operand mismatch. Every arithmetic primitive raises :class:`NumericError`
+if it produces a non-finite value. The view and selection ops (``reshape``,
+``transpose``, ``take``, ``gather``) do not scan their output again: it is a
+view of, or entries copied from, an operand that was scanned when it was
+made. So a non-finite value written into a Parameter's ``data`` after it
+was made raises :class:`NumericError` at the first arithmetic op that
+reads it.
 
 A bias rides inside the op it follows: ``softmax(scores, bias)`` adds an
 attention bias in the buffer it normalizes, and ``matmul(x, w, bias)`` adds
@@ -145,6 +150,10 @@ class _Constant:
 _CONSTANT = _Constant()
 
 
+# ops whose output views or copies entries of an operand scanned when it was made
+_UNSCANNED = frozenset(("reshape", "transpose", "take", "gather"))
+
+
 def _finite(data, op: str) -> np.ndarray:
     arr = np.asarray(data, dtype=np.float64)
     if not np.all(np.isfinite(arr)):
@@ -163,7 +172,7 @@ class Tensor:
     __slots__ = ("data", "_node")
 
     def __init__(self, data, _parents=(), _backward=None, _op="tensor"):
-        self.data = _finite(data, _op)
+        self.data = data if _op in _UNSCANNED else _finite(data, _op)
         parents = tuple(p for p in _parents if p.requires_grad) if _taping.get() else ()
         self._node = _Node(parents, _backward) if parents else _CONSTANT
 

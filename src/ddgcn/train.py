@@ -84,13 +84,30 @@ def _stack_batch(samples: list[SkeletonSample]) -> tuple[np.ndarray, np.ndarray]
     return frames, labels
 
 
+# The most frames x joints one micro-batch holds. A step's tape grows with
+# the samples it holds; this bound makes the toy5 acceptance batch (80 per
+# sample) two micro-batches of 32 and an ntu25 clip (1600) its own micro-batch.
+# See README "Memory" for the sweep that chose it.
+MICRO_BATCH_TOKENS = 2560
+
+
+def micro_batch_size(frames: int, joints: int) -> int:
+    """The largest m >= 1 with m * frames * joints <= MICRO_BATCH_TOKENS."""
+    return max(1, MICRO_BATCH_TOKENS // (frames * joints))
+
+
 def train(model: DDGCNModel, dataset: list[SkeletonSample], config: TrainConfig,
           log=None) -> list[HistoryRow]:
     """Mini-batch cross-entropy training; deterministic for a fixed seed.
 
-    Samples are reshuffled every epoch from one seeded stream. The history
-    holds one row per epoch with the mean batch loss and the training
-    accuracy measured on the same forward passes.
+    Samples are reshuffled every epoch from one seeded stream. Each batch
+    runs in micro-batches of ``micro_batch_size`` samples, so a step's peak
+    memory follows that size, not the batch size. No op mixes samples, so
+    scaling each micro-batch's mean loss by its share n/B of the batch
+    before ``backward()`` accumulates the whole batch's gradient in the
+    Parameters; Adam then steps once. The history holds one row per epoch
+    with the mean sample loss and the training accuracy measured on the
+    same forward passes.
     """
     if not dataset:
         raise ConfigError("training requires a non-empty dataset")
@@ -100,6 +117,7 @@ def train(model: DDGCNModel, dataset: list[SkeletonSample], config: TrainConfig,
     params = model.parameters()
     optimizer = Adam(params, config)
     rng = np.random.default_rng(config.seed)
+    micro = micro_batch_size(*dataset[0].frames.shape[:2])
     history = []
     for epoch in range(config.epochs):
         lr = lr_at(epoch, config)
@@ -107,15 +125,16 @@ def train(model: DDGCNModel, dataset: list[SkeletonSample], config: TrainConfig,
         total_loss = 0.0
         correct = 0
         for start in range(0, len(dataset), config.batch_size):
-            batch = [dataset[i] for i in order[start:start + config.batch_size]]
-            frames, labels = _stack_batch(batch)
+            batch = order[start:start + config.batch_size]
             eg.zero_grads(params)
-            logits = model.logits(frames)
-            loss = eg.cross_entropy(logits, labels)
-            loss.backward()
+            for part in range(0, len(batch), micro):
+                frames, labels = _stack_batch([dataset[i] for i in batch[part:part + micro]])
+                logits = model.logits(frames)
+                loss = eg.cross_entropy(logits, labels)
+                (loss * (len(labels) / len(batch))).backward()
+                total_loss += loss.item() * len(labels)
+                correct += int((logits.data.argmax(axis=1) == labels).sum())
             optimizer.step(lr)
-            total_loss += loss.item() * len(batch)
-            correct += int((logits.data.argmax(axis=1) == labels).sum())
         row = HistoryRow(epoch=epoch, lr=lr, loss=total_loss / len(dataset),
                          accuracy=correct / len(dataset))
         history.append(row)

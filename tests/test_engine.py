@@ -538,6 +538,20 @@ def test_non_finite_raises():
             eg.scalar_mul(Tensor(np.array(1e308)), 1e10)
 
 
+def test_view_and_selection_ops_leave_a_non_finite_entry_to_the_next_arithmetic_op():
+    """A Parameter's data written after it was made is not scanned by a view
+    or a selection of it; the first arithmetic op that reads it raises."""
+    p = Parameter(np.ones((2, 3)), "p")
+    p.data[0, 1] = np.nan
+    for view in (eg.reshape(p, (3, 2)), eg.transpose(p, (1, 0)),
+                 eg.take(p, np.array([1, 0, 1]), axis=0), eg.gather(p, np.array([[1, 2]]))):
+        assert np.isnan(view.data).any()
+        with pytest.raises(NumericError, match="add"):
+            eg.add(view, 1.0)
+    with pytest.raises(NumericError, match="tensor"):
+        Tensor(p.data)
+
+
 def test_backward_requires_scalar():
     t = Tensor(np.ones(3))
     with pytest.raises(ShapeError):

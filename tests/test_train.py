@@ -4,7 +4,7 @@ import pytest
 
 from ddgcn import data, engine as eg, graph, layers, train
 from ddgcn.engine import Parameter
-from ddgcn.errors import ConfigError
+from ddgcn.errors import ConfigError, NumericError
 from ddgcn.windows import WindowSpec
 
 
@@ -124,6 +124,125 @@ def test_training_is_deterministic():
     h1 = train.train(layers.DDGCNModel(tiny_config(), seed=4), ds, config)
     h2 = train.train(layers.DDGCNModel(tiny_config(), seed=4), ds, config)
     assert h1 == h2
+
+
+# ---------------------------------------------------------------------------
+# Micro-batches
+# ---------------------------------------------------------------------------
+
+TOY5 = graph.get_topology("toy5")
+
+
+def toy5_acceptance_model():
+    """The acceptance model with a non-zero head and CAGC alphas, so every
+    parameter gets a gradient."""
+    config = layers.ModelConfig(topology=TOY5, num_classes=4, channels=(16, 16, 32, 32),
+                                strides=(1, 1, 2, 1), window=WindowSpec(4, 5), heads=4)
+    model = layers.DDGCNModel(config, seed=0)
+    rng = np.random.default_rng(0)
+    model.head_w.data = rng.normal(0.0, 1.0, model.head_w.shape)
+    for layer in model.layers:
+        layer.cagc.alpha.data = np.asarray(rng.uniform(-0.5, 0.5))
+    return model
+
+
+def toy5_batch(count):
+    return data.generate_synthetic(data.SyntheticSpec(
+        num_classes=4, samples_per_class=-(-count // 4), frames=16, topology=TOY5,
+        noise_std=0.1, seed=1))[:count]
+
+
+class _Stepped(Exception):
+    pass
+
+
+def logits_batch_sizes(monkeypatch) -> list[int]:
+    """A list that every later ``DDGCNModel.logits`` call appends its batch size to."""
+    sizes = []
+    logits = layers.DDGCNModel.logits
+    monkeypatch.setattr(layers.DDGCNModel, "logits", lambda self, x: sizes.append(len(x)) or logits(self, x))
+    return sizes
+
+
+def first_step_gradients(monkeypatch, model, dataset):
+    """The gradients Adam receives at train()'s first step, and the batch
+    size of every ``logits`` call before it."""
+    grads, sizes = {}, logits_batch_sizes(monkeypatch)
+
+    def record_step(self, lr):
+        grads.update((p.name, p.grad.copy()) for p in self.params)
+        raise _Stepped
+
+    monkeypatch.setattr(train.Adam, "step", record_step)
+    with pytest.raises(_Stepped):
+        train.train(model, dataset, train.TrainConfig(epochs=1, batch_size=len(dataset)))
+    monkeypatch.undo()
+    return grads, sizes
+
+
+def test_micro_batch_size_is_the_largest_within_the_token_bound():
+    assert train.micro_batch_size(16, 5) == 32
+    assert train.micro_batch_size(64, 25) == 1
+    assert train.micro_batch_size(10_000, 25) == 1
+    for frames, joints in ((16, 5), (8, 2), (7, 3), (64, 25)):
+        m = train.micro_batch_size(frames, joints)
+        assert m * frames * joints <= train.MICRO_BATCH_TOKENS < (m + 1) * frames * joints
+
+
+@pytest.mark.parametrize("batch, slices", [(64, [32, 32]), (50, [32, 18])])
+def test_accumulated_gradients_match_the_whole_batch(monkeypatch, batch, slices):
+    dataset = toy5_batch(batch)
+    model = toy5_acceptance_model()
+    grads, sizes = first_step_gradients(monkeypatch, model, dataset)
+    assert sizes == slices
+    frames, labels = train._stack_batch(dataset)
+    eg.zero_grads(model.parameters())
+    eg.cross_entropy(model.logits(frames), labels).backward()
+    assert grads.keys() == {p.name for p in model.parameters()}
+    for p in model.parameters():
+        assert np.abs(p.grad).max() > 0.0, p.name
+        assert eg.relative_error(grads[p.name], p.grad) <= 1e-12, p.name
+
+
+def test_an_ntu25_batch_is_scored_one_clip_at_a_time(monkeypatch):
+    topology = graph.get_topology("ntu25")
+    config = layers.ModelConfig(topology=topology, num_classes=3, channels=(4,), strides=(1,),
+                                heads=2, kernel=3, groups=2)
+    dataset = data.generate_synthetic(data.SyntheticSpec(
+        num_classes=3, samples_per_class=1, frames=64, topology=topology, noise_std=0.1, seed=2))
+    _, sizes = first_step_gradients(monkeypatch, layers.DDGCNModel(config, seed=0), dataset)
+    assert sizes == [1, 1, 1]
+
+
+def test_micro_batched_training_writes_byte_identical_files(tmp_path, monkeypatch):
+    # 40 frames x joints a sample: micro-batches of 2, batches of 4 and 2
+    monkeypatch.setattr(train, "MICRO_BATCH_TOKENS", 80)
+    sizes = logits_batch_sizes(monkeypatch)
+    config = train.TrainConfig(epochs=3, batch_size=4, base_lr=0.005, seed=9)
+    files = []
+    for run in range(2):
+        model = layers.DDGCNModel(tiny_config(), seed=4)
+        history = train.train(model, tiny_dataset(), config)
+        train.write_history_csv(history, tmp_path / f"history{run}.csv")
+        model.save(tmp_path / f"model{run}.ckpt")
+        files.append([(tmp_path / f"{name}{run}.{ext}").read_bytes()
+                      for name, ext in (("history", "csv"), ("model", "ckpt"))])
+    assert sizes == [2, 2, 2] * 6
+    assert files[0] == files[1]
+
+
+@pytest.mark.parametrize("block, name, op", [("stse", "bias_tables", "softmax"), ("cagc", "weight", "matmul")])
+def test_a_non_finite_parameter_behind_a_view_op_raises(block, name, op):
+    """``stse.bias_tables`` reaches compute only through ``gather`` and
+    ``cagc.weight`` only through ``reshape``, which do not scan; the first
+    arithmetic op that reads the NaN raises."""
+    model = layers.DDGCNModel(tiny_config(), seed=0)
+    getattr(getattr(model.layers[1], block), name).data.flat[0] = np.nan
+    ds = tiny_dataset()
+    with pytest.raises(NumericError, match=op):
+        model.predict_proba(ds[0].frames)
+    with pytest.raises(NumericError, match=op):
+        train.train(model, ds, train.TrainConfig(epochs=1))
 
 
 # ---------------------------------------------------------------------------
