@@ -53,7 +53,6 @@ import math
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import NumericError, ShapeError
 
@@ -559,6 +558,15 @@ def temporal_conv(x, weight, groups: int, stride: int = 1) -> Tensor:
     Channels are split into ``groups`` equal blocks, each convolved with its
     own kernels. Zero same-padding keeps T unchanged at stride 1; larger
     strides produce ceil(T / stride) output frames.
+
+    The input is copied once into a zero-padded, time-major buffer
+    (groups, T + pad, B, V, C_in/groups). Kernel tap k reads its frames
+    ``k, k + stride, ...`` as (groups, T_out·B·V, C_in/groups) rows, a view
+    at stride 1 and one copy at larger strides, so the output is a sum of
+    ``kernel`` matrix products batched over the groups, and no im2col column
+    matrix is formed. The backward makes one product per tap for the weight,
+    on the padded input rebuilt from ``x``, and adds one per tap into a
+    padded input gradient of the same layout.
     """
     x, weight = _lift(x), _lift(weight)
     if x.ndim != 4:
@@ -567,6 +575,10 @@ def temporal_conv(x, weight, groups: int, stride: int = 1) -> Tensor:
     if weight.ndim != 3:
         raise ShapeError(f"temporal_conv: weight must be (C_out, C_in/groups, kernel), got {weight.data.shape}")
     c_out, c_in_g, kernel = weight.data.shape
+    if groups < 1:
+        raise ShapeError(f"temporal_conv: groups must be >= 1, got {groups}")
+    if kernel < 1:
+        raise ShapeError(f"temporal_conv: kernel must be >= 1, got weight {weight.data.shape}")
     if c_in % groups != 0 or c_out % groups != 0:
         raise ShapeError(f"temporal_conv: groups={groups} must divide C_in={c_in} and C_out={c_out}")
     if c_in_g != c_in // groups:
@@ -579,39 +591,54 @@ def temporal_conv(x, weight, groups: int, stride: int = 1) -> Tensor:
     t_out = -(-t // stride)
     pad_total = max((t_out - 1) * stride + kernel - t, 0)
     pad_left = pad_total // 2
+    span = stride * (t_out - 1) + 1
     c_out_g = c_out // groups
-    n = b * t_out * v
-    wg = weight.data.reshape(groups, c_out_g, c_in_g * kernel)
+    rows = t_out * b * v
+    # tap k's weight for every group, (kernel, groups, C_in/groups, C_out/groups)
+    wk = np.ascontiguousarray(weight.data.reshape(groups, c_out_g, c_in_g, kernel).transpose(3, 0, 2, 1))
 
-    def columns(data):
-        """(groups, N, C_in/groups * kernel) matrix: row (b, t', v) holds the
-        group's window of the zero-padded input that starts at frame t' * stride."""
-        padded = np.zeros((b, t + pad_total, v, c_in))
-        padded[:, pad_left:pad_left + t] = data
-        windows = sliding_window_view(padded, kernel, axis=1)[:, ::stride]
-        return (windows.reshape(b, t_out, v, groups, c_in_g, kernel)
-                .transpose(3, 0, 1, 2, 4, 5).reshape(groups, n, c_in_g * kernel))
+    def padded(data):
+        """(groups, T + pad, B, V, C_in/groups): the zero-padded input, time-major."""
+        buf = np.zeros((groups, t + pad_total, b, v, c_in_g))
+        buf[:, pad_left:pad_left + t] = data.reshape(b, t, v, groups, c_in_g).transpose(3, 1, 0, 2, 4)
+        return buf
+
+    def tap(buf, k):
+        """(groups, T_out·B·V, C_in/groups): the frames tap k reads."""
+        return buf[:, k:k + span:stride].reshape(groups, rows, c_in_g)
 
     nx, nw = x._node, weight._node
     x_data = x.data if nw.requires_grad else None
-    w_data = wg if nx.requires_grad else None
+    w_data = wk if nx.requires_grad else None
 
-    # bw rebuilds the columns from x's data: keeping them, or the padded input,
-    # would hold one more activation-sized array per layer until backward
+    # bw rebuilds the padded input from x's data: keeping it would hold one
+    # more activation-sized array per layer until backward
     def bw(g):
-        go = g.reshape(n, groups, c_out_g).transpose(1, 0, 2)
+        go = g.reshape(b, t_out, v, groups, c_out_g).transpose(3, 1, 0, 2, 4).reshape(groups, rows, c_out_g)
         if nw.requires_grad:
-            dw = np.matmul(go.transpose(0, 2, 1), columns(x_data))
-            nw._accumulate(dw.reshape(c_out, c_in_g, kernel))
-        if nx.requires_grad:
-            dcols = np.matmul(go, w_data).reshape(groups, b, t_out, v, c_in_g, kernel)
-            dpadded = np.zeros((b, t + pad_total, v, groups, c_in_g))
+            buf = padded(x_data)
+            dw = np.empty((kernel, groups, c_in_g, c_out_g))
             for k in range(kernel):
-                dpadded[:, k:k + stride * (t_out - 1) + 1:stride] += dcols[..., k].transpose(1, 2, 3, 0, 4)
-            nx._accumulate(dpadded.reshape(b, t + pad_total, v, c_in)[:, pad_left:pad_left + t])
+                np.matmul(tap(buf, k).transpose(0, 2, 1), go, out=dw[k])
+            del buf  # before the input gradient's buffer, which has its size
+            nw._accumulate(dw.transpose(1, 3, 2, 0).reshape(c_out, c_in_g, kernel))
+        if nx.requires_grad:
+            dbuf = np.zeros((groups, t + pad_total, b, v, c_in_g))
+            part = np.empty((groups, rows, c_in_g))
+            for k in range(kernel):
+                np.matmul(go, w_data[k].transpose(0, 2, 1), out=part)
+                dbuf[:, k:k + span:stride] += part.reshape(groups, t_out, b, v, c_in_g)
+            del go, part  # before the cropped copy
+            nx._accumulate(dbuf[:, pad_left:pad_left + t].transpose(2, 1, 3, 0, 4).reshape(b, t, v, c_in))
 
-    out_val = np.matmul(columns(x.data), wg.transpose(0, 2, 1))
-    return Tensor(out_val.transpose(1, 0, 2).reshape(b, t_out, v, c_out), (nx, nw), bw, "temporal_conv")
+    buf = padded(x.data)
+    out_val = np.matmul(tap(buf, 0), wk[0])
+    part = np.empty_like(out_val)
+    for k in range(1, kernel):
+        out_val += np.matmul(tap(buf, k), wk[k], out=part)
+    del buf, part  # before the output's transpose-copy
+    out_val = out_val.reshape(groups, t_out, b, v, c_out_g).transpose(2, 1, 3, 0, 4).reshape(b, t_out, v, c_out)
+    return Tensor(out_val, (nx, nw), bw, "temporal_conv")
 
 
 def gather(table, index: np.ndarray) -> Tensor:

@@ -114,6 +114,10 @@ def train(model: DDGCNModel, dataset: list[SkeletonSample], config: TrainConfig,
     lengths = {s.frames.shape[0] for s in dataset}
     if len(lengths) != 1:
         raise ConfigError(f"all samples must share one temporal length, got {sorted(lengths)}")
+    joints_channels = {s.frames.shape[1:] for s in dataset}
+    if len(joints_channels) != 1:
+        raise ConfigError(f"all samples must share one joint and channel count, got (V, C) of "
+                          f"{sorted(joints_channels)}")
     params = model.parameters()
     optimizer = Adam(params, config)
     rng = np.random.default_rng(config.seed)

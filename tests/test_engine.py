@@ -105,10 +105,17 @@ def temporal_conv_loops(x, w, groups, stride):
     return out
 
 
-@pytest.mark.parametrize("kernel,stride,groups,frames",
-                         [(1, 1, 1, 4), (3, 2, 2, 7), (5, 3, 4, 6), (5, 1, 4, 3)])
-def test_temporal_conv_matches_loop_oracle(kernel, stride, groups, frames):
-    x = rng.standard_normal((2, frames, 3, 8))
+# even kernels pad one frame more on the right; batch > 1 with frames > 1 and
+# joints > 1 tells the batch, time and joint axes of the time-major buffer apart
+@pytest.mark.parametrize("kernel,stride,groups,frames,batch",
+                         [(1, 1, 1, 4, 2), (3, 2, 2, 7, 2), (5, 3, 4, 6, 2), (5, 1, 4, 3, 2),
+                          (4, 1, 2, 6, 3), (4, 2, 4, 7, 3), (6, 1, 2, 2, 3), (2, 3, 4, 8, 4),
+                          (7, 2, 1, 5, 3)],
+                         ids=["1-1-1-4", "3-2-2-7", "5-3-4-6", "5-1-4-3", "even-kernel",
+                              "even-kernel-strided", "kernel-over-frames", "stride-over-kernel",
+                              "single-group-strided"])
+def test_temporal_conv_matches_loop_oracle(kernel, stride, groups, frames, batch):
+    x = rng.standard_normal((batch, frames, 3, 8))
     w = rng.standard_normal((8, 8 // groups, kernel))
     out = eg.temporal_conv(Tensor(x), Tensor(w), groups, stride)
     npt.assert_allclose(out.data, temporal_conv_loops(x, w, groups, stride), rtol=1e-12, atol=1e-12)
@@ -365,6 +372,36 @@ def test_grad_temporal_conv():
         check_grads(lambda: weighted_sum(eg.temporal_conv(x, w, 4, stride), r), [x, w])
 
 
+def test_grad_temporal_conv_even_kernel_at_stride_two():
+    x = Parameter(rng.uniform(-1, 1, (3, 7, 2, 4)), "x")
+    w = Parameter(rng.uniform(-0.5, 0.5, (6, 2, 4)), "w")
+    r = rng.standard_normal((3, 4, 2, 6))
+    check_grads(lambda: weighted_sum(eg.temporal_conv(x, w, 2, 2), r), [x, w])
+
+
+def test_temporal_conv_forms_no_column_matrix():
+    # a (groups, B·T·V, C_in/groups · kernel) column matrix alone is kernel x the input
+    x = Parameter(rng.standard_normal((8, 16, 25, 16)), "x")
+    w = Parameter(rng.standard_normal((16, 4, 5)), "w")
+    input_mb = x.data.nbytes / 1e6
+    tracemalloc.start()
+    try:
+        out = eg.temporal_conv(x, w, 4, 1)
+        forward_mb = tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+    loss = weighted_sum(out, rng.standard_normal(out.shape))
+    del out
+    tracemalloc.start()
+    try:
+        loss.backward()
+        backward_mb = tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+    assert forward_mb < 4 * input_mb, forward_mb / input_mb
+    assert backward_mb < 6 * input_mb, backward_mb / input_mb
+
+
 def test_grad_temporal_conv_depthwise():
     x = Parameter(rng.uniform(-1, 1, (1, 5, 2, 3)), "x")
     w = Parameter(rng.uniform(-1, 1, (3, 1, 3)), "w")
@@ -482,6 +519,11 @@ def test_shape_errors_name_the_primitive():
         eg.add(Tensor(np.ones((2, 3))), Tensor(np.ones((4,))))
     with pytest.raises(ShapeError, match="temporal_conv"):
         eg.temporal_conv(Tensor(np.ones((1, 4, 2, 6))), Tensor(np.ones((6, 2, 3))), groups=4)
+    # no group, and an empty kernel, are refused, not divided by or summed to zeros
+    with pytest.raises(ShapeError, match="temporal_conv: groups"):
+        eg.temporal_conv(Tensor(np.ones((1, 4, 2, 6))), Tensor(np.ones((6, 2, 3))), groups=0)
+    with pytest.raises(ShapeError, match="temporal_conv: kernel"):
+        eg.temporal_conv(Tensor(np.ones((1, 4, 2, 6))), Tensor(np.ones((6, 2, 0))), groups=3)
     with pytest.raises(ShapeError, match="take"):
         eg.take(Tensor(np.ones((2, 2))), np.array([2]), axis=0)
     with pytest.raises(ShapeError, match="cross_entropy"):

@@ -98,6 +98,15 @@ def test_train_rejects_ragged_lengths():
         train.train(model, ds, train.TrainConfig(epochs=1))
 
 
+def test_train_rejects_mixed_joint_or_channel_counts():
+    model = layers.DDGCNModel(tiny_config(), seed=0)
+    for frames in (tiny_dataset()[0].frames[:, :4], tiny_dataset()[0].frames[..., :2]):
+        ds = tiny_dataset()
+        ds[0] = data.SkeletonSample(frames=frames, label=0, sample_id="odd")
+        with pytest.raises(ConfigError, match=r"joint and channel count.*\(5, 3\)"):
+            train.train(model, ds, train.TrainConfig(epochs=1))
+
+
 def test_initial_loss_is_log_num_classes():
     ds = tiny_dataset(num_classes=4)
     model = layers.DDGCNModel(tiny_config(num_classes=4), seed=0)
