@@ -10,7 +10,9 @@ numbered as they are made, so an op's node always comes after its
 parents'; ``backward()`` on a scalar output runs the closures from the
 highest number down and accumulates gradients additively into the
 Parameter leaves, releasing each node's gradient, closure and parents as
-it passes, so a graph is single-use. On its first write a node keeps any
+it passes, so a graph is single-use. Every node's gradient, a leaf's
+included, is ``None`` until its first write, so a model that never runs
+a backward holds only its weights. On its first write a node keeps any
 writeable array it is handed as its gradient, whatever its strides, and
 copies only a read-only view. So a closure hands every array, and every
 part of one buffer, to one node only, always in that node's shape, and
@@ -183,6 +185,9 @@ class Tensor:
 
     shape = property(lambda self: self.data.shape)
     ndim = property(lambda self: self.data.ndim)
+    # an ndarray on the left of an operator defers to the reflected method
+    # below instead of broadcasting over the Tensor as an object
+    __array_ufunc__ = None
 
     def backward(self) -> None:
         """Reverse-mode sweep from a scalar output.
@@ -249,10 +254,18 @@ class Tensor:
     def __matmul__(self, other):
         return matmul(self, other)
 
+    def __rmatmul__(self, other):
+        return matmul(other, self)
+
 
 class Parameter(Tensor):
     """A named trainable tensor whose leaf node, a node with no closure,
-    accumulates its gradient into ``grad``."""
+    accumulates its gradient into ``grad``.
+
+    ``grad`` is ``None`` until a ``backward()`` reaches the parameter, which
+    then keeps the array it is handed, or until :func:`zero_grads` gives it
+    zeros; later backwards add into that array in place.
+    """
 
     __slots__ = ("name",)
 
@@ -261,7 +274,6 @@ class Parameter(Tensor):
         self.data = _finite(value, "tensor")
         self.name = name
         self._node = _Node((), None)
-        self._node.grad = np.zeros_like(self.data)
 
 
 def _lift(x) -> Tensor:
@@ -760,6 +772,8 @@ def cross_entropy(logits, labels) -> Tensor:
 
 
 def zero_grads(params: Iterable[Parameter]) -> None:
+    """Give each parameter a fresh zero gradient, whether it had one or held
+    ``None``; the next ``backward()`` adds into it."""
     for p in params:
         p.grad = np.zeros_like(p.data)
 

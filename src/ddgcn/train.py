@@ -57,12 +57,19 @@ class Adam:
         self.v = [np.zeros_like(p.data) for p in params]
 
     def step(self, lr: float) -> None:
+        """One update from each parameter's ``grad``. Every gradient is
+        checked before any slot or parameter moves, so a refused step
+        changes nothing."""
+        for p in self.params:
+            if p.grad is None:
+                raise RuntimeError(f"Adam.step: parameter {p.name!r} has no gradient; "
+                                   "run zero_grads and backward() first")
+            if p.grad.shape != p.data.shape:
+                raise ShapeError(f"gradient shape mismatch for {p.name}")
         self.step_count += 1
         t = self.step_count
         for i, p in enumerate(self.params):
             g = p.grad
-            if g.shape != p.data.shape:
-                raise ShapeError(f"gradient shape mismatch for {p.name}")
             self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
             self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * g * g
             m_hat = self.m[i] / (1.0 - self.beta1 ** t)

@@ -1,6 +1,7 @@
 import importlib.util
 import inspect
 import json
+import operator
 import platform
 import resource
 import tracemalloc
@@ -610,6 +611,16 @@ def test_gradients_accumulate_and_reset():
     npt.assert_array_equal(p.grad, [0.0])
 
 
+@pytest.mark.parametrize("op", [operator.mul, operator.add, operator.sub, operator.matmul])
+def test_an_ndarray_on_the_left_of_an_operator_defers_to_the_tensor(op):
+    left = rng.standard_normal((3, 3))
+    p = Parameter(rng.standard_normal((3, 3)), "p")
+    out = op(left, p)
+    assert isinstance(out, Tensor) and out.requires_grad
+    npt.assert_array_equal(out.data, op(left, p.data))
+    check_grads(lambda: eg.mean_pool(op(left, p), axis=(0, 1)), [p])
+
+
 def test_shared_subexpression_fanout():
     p = Parameter(np.array(3.0), "p")
     q = eg.mul(p, p)
@@ -915,7 +926,7 @@ def test_a_toy5_backward_copies_only_read_only_gradients(monkeypatch):
     model = layers.DDGCNModel(config, seed=0)
     x = np.random.default_rng(0).standard_normal((64, 16, 5, 3))
     labels = np.arange(64) % 4
-    first_writes = []  # (kept, writeable) per first write of an interior node
+    first_writes = []  # (kept, writeable) per first write of a node, Parameter leaves included
     accumulate = eg._Node._accumulate
 
     def spied(node, g):

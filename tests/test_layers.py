@@ -2,6 +2,7 @@ import collections
 import gc
 import inspect
 import json
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -543,6 +544,52 @@ def test_parameters_hold_no_reference_cycle():
         assert all(ref() is None for ref in refs)
     finally:
         gc.enable()
+
+
+def test_a_built_model_holds_its_weights_and_no_gradients():
+    layers.DDGCNModel(reduced_config(), seed=0)  # pays the first build's lazy imports
+    config = layers.ModelConfig(topology=graph.get_topology("ntu25"), num_classes=60)
+    tracemalloc.start()
+    try:
+        model = layers.DDGCNModel(config, seed=0)
+        traced = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    weights = sum(p.data.nbytes for p in model.parameters())
+    assert all(p.grad is None for p in model.parameters())
+    # a zero gradient per parameter at build time makes this 2.06x
+    assert traced <= 1.1 * weights, (traced, weights)
+
+
+def test_inference_and_load_leave_every_gradient_unset(tmp_path):
+    model = perturbed_model()
+    model.predict_proba(np.random.default_rng(5).uniform(-1, 1, (2, 16, 5, 3)))
+    assert all(p.grad is None for p in model.parameters())
+    path = tmp_path / "m.ckpt"
+    model.save(path)
+    restored = layers.DDGCNModel(reduced_config(), seed=99)
+    restored.load(path)
+    assert all(p.grad is None for p in restored.parameters())
+
+
+def test_a_first_backward_keeps_its_gradient_and_a_second_adds_into_it():
+    x = np.random.default_rng(5).uniform(-1, 1, (2, 16, 5, 3))
+
+    def backward(model):
+        eg.cross_entropy(model.logits(x), [1, 2]).backward()
+
+    zeroed = perturbed_model()
+    eg.zero_grads(zeroed.parameters())
+    backward(zeroed)
+    fresh = perturbed_model()
+    backward(fresh)  # no zero_grads: each leaf keeps the first array it is handed
+    kept = [p.grad for p in fresh.parameters()]
+    for p, q in zip(fresh.parameters(), zeroed.parameters()):
+        npt.assert_array_equal(p.grad, q.grad, err_msg=p.name)
+    backward(fresh)
+    for p, q, g in zip(fresh.parameters(), zeroed.parameters(), kept):
+        assert p.grad is g, p.name
+        npt.assert_array_equal(p.grad, 2.0 * q.grad, err_msg=p.name)
 
 
 def block_state(model):

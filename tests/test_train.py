@@ -4,7 +4,7 @@ import pytest
 
 from ddgcn import data, engine as eg, graph, layers, train
 from ddgcn.engine import Parameter
-from ddgcn.errors import ConfigError, NumericError
+from ddgcn.errors import ConfigError, NumericError, ShapeError
 from ddgcn.windows import WindowSpec
 
 
@@ -55,6 +55,26 @@ def test_adam_zero_gradient_is_noop():
     opt.step(lr=0.1)
     npt.assert_array_equal(p.data, [1.0, -2.0])
     assert opt.step_count == 1
+
+
+@pytest.mark.parametrize("q_grad, error, message", [
+    (None, RuntimeError, r"'q' has no gradient; run zero_grads and backward\(\) first"),
+    (np.zeros(2), ShapeError, "gradient shape mismatch for q"),
+])
+def test_adam_refuses_a_bad_gradient_before_moving_anything(q_grad, error, message):
+    p = Parameter(np.array([1.0, -2.0]), "p")
+    q = Parameter(np.array([0.5]), "q")
+    opt = train.Adam([p, q], train.TrainConfig())
+    eg.mean_pool(eg.mul(p, p), axis=0).backward()  # reaches p only
+    assert p.grad is not None and q.grad is None
+    q.grad = q_grad
+    with pytest.raises(error, match=message):
+        opt.step(lr=0.1)
+    assert opt.step_count == 0
+    for slot in opt.m + opt.v:
+        npt.assert_array_equal(slot, 0.0)
+    npt.assert_array_equal(p.data, [1.0, -2.0])
+    npt.assert_array_equal(q.data, [0.5])
 
 
 def test_adam_first_step_hand_computed():
