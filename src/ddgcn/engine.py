@@ -24,7 +24,12 @@ if it produces a non-finite value. The view and selection ops (``reshape``,
 view of, or entries copied from, an operand that was scanned when it was
 made. So a non-finite value written into a Parameter's ``data`` after it
 was made raises :class:`NumericError` at the first arithmetic op that
-reads it.
+reads it. ``softmax`` scans no output either. It exponentiates its scores
+without a shift and divides each row by its sum when every row sum is
+finite and no smaller than ``_SOFTMAX_MIN_SUM``; each entry is then a term
+of a finite sum divided by that sum, so finite and in [0, 1]. Otherwise it
+runs again shifted by the row max and checks that run's row sums, which are
+finite exactly when every entry is.
 
 A bias rides inside the op it follows: ``softmax(scores, bias)`` adds an
 attention bias in the buffer it normalizes, and ``matmul(x, w, bias)`` adds
@@ -151,8 +156,10 @@ class _Constant:
 _CONSTANT = _Constant()
 
 
-# ops whose output views or copies entries of an operand scanned when it was made
-_UNSCANNED = frozenset(("reshape", "transpose", "take", "gather"))
+# ops whose output views or copies entries of an operand scanned when it was
+# made, and softmax, which checks its row sums: terms of a finite sum divided
+# by it are finite and in [0, 1]
+_UNSCANNED = frozenset(("reshape", "transpose", "take", "gather", "softmax"))
 
 
 def _finite(data, op: str) -> np.ndarray:
@@ -459,6 +466,11 @@ def _last_axis(t: Tensor, op: str) -> int:
     return t.data.shape[-1]
 
 
+# the smallest row sum softmax divides by without the row-max shift: every
+# subnormal term of such a row is below eps times the sum
+_SOFTMAX_MIN_SUM = np.finfo(np.float64).tiny / np.finfo(np.float64).eps
+
+
 def _rows(s: np.ndarray, t: np.ndarray | None = None) -> np.ndarray:
     """Sums over the last axis of ``s``, or of ``s * t`` without forming the
     product, kept as a length-1 axis."""
@@ -467,29 +479,47 @@ def _rows(s: np.ndarray, t: np.ndarray | None = None) -> np.ndarray:
 
 
 def softmax(a, bias=None) -> Tensor:
-    """Softmax over the last axis of ``a + bias``, numerically stabilized.
+    """Softmax over the last axis of ``a + bias``.
 
     ``bias`` (an attention bias) must broadcast onto ``a`` without enlarging
-    it. The sum, the shift by the row max, the exponential and the
-    normalization all run in one buffer, which is the output and the only
-    array backward reads; the bias gradient is reduced the way ``add``
-    reduces it.
+    it. The sum, the exponential and the normalization all run in one
+    buffer, which is the output and the only array backward reads; the bias
+    gradient is reduced the way ``add`` reduces it.
+
+    The scores are exponentiated without a shift, and each row is divided
+    by its sum if every row sum lies in ``[_SOFTMAX_MIN_SUM, inf)``. If any
+    falls outside that range (an overflow, a row of subnormals or a NaN),
+    the whole call runs again in the same buffer shifted by the row max,
+    whose exponential is 1, and its row sums are scanned, so a non-finite
+    operand raises :class:`NumericError`. The output itself needs no scan:
+    a finite sum of non-negative terms bounds each of them, so every entry
+    is finite and in [0, 1].
     """
     a = _lift(a)
     _last_axis(a, "softmax")
     na = a._node
     if bias is None:
         nbias, bias_shape = _CONSTANT, None
-        s = a.data - a.data.max(axis=-1, keepdims=True)
+        with np.errstate(over="ignore"):
+            s = np.exp(a.data)
     else:
         bias = _lift(bias)
         if _binary_shapes(a, bias, "softmax") != a.data.shape:
             raise ShapeError(f"softmax: bias {bias.data.shape} does not broadcast onto {a.data.shape}")
         nbias, bias_shape = bias._node, bias.data.shape
         s = a.data + bias.data
-        s -= s.max(axis=-1, keepdims=True)
-    np.exp(s, out=s)
-    s /= _rows(s)
+        with np.errstate(over="ignore"):
+            np.exp(s, out=s)
+    total = _rows(s)
+    if not (_SOFTMAX_MIN_SUM <= total.min() and total.max() < np.inf):  # also for a NaN
+        if bias is None:
+            np.subtract(a.data, a.data.max(axis=-1, keepdims=True), out=s)
+        else:
+            np.add(a.data, bias.data, out=s)
+            s -= s.max(axis=-1, keepdims=True)
+        np.exp(s, out=s)
+        total = _finite(_rows(s), "softmax")
+    s /= total
 
     def bw(g):
         g -= _rows(g, s)
@@ -513,6 +543,8 @@ def layer_norm(x, gamma=None, beta=None, eps: float = 1e-8) -> Tensor:
     """
     x = _lift(x)
     d = _last_axis(x, "layer_norm")
+    gamma = None if gamma is None else _lift(gamma)
+    beta = None if beta is None else _lift(beta)
     if gamma is not None and gamma.data.shape != (d,):
         raise ShapeError(f"layer_norm: gamma shape {gamma.data.shape} does not match channels {d}")
     if beta is not None and beta.data.shape != (d,):
@@ -796,17 +828,16 @@ def finite_difference_grad(f: Callable[[], "Tensor | float"], param: Tensor, h: 
     """
     if h <= 0:
         raise ValueError("step h must be positive")
-    grad = np.zeros_like(param.data)
-    flat_p = param.data.ravel()
-    flat_g = grad.ravel()
-    for i in range(flat_p.size):
-        saved = flat_p[i]
-        flat_p[i] = saved + h
+    data = param.data  # perturbed entry by entry in place, whatever its strides
+    grad = np.zeros(data.shape)
+    for i in np.ndindex(data.shape):
+        saved = data[i]
+        data[i] = saved + h
         f_plus = _scalar(f())
-        flat_p[i] = saved - h
+        data[i] = saved - h
         f_minus = _scalar(f())
-        flat_p[i] = saved
-        flat_g[i] = (f_plus - f_minus) / (2.0 * h)
+        data[i] = saved
+        grad[i] = (f_plus - f_minus) / (2.0 * h)
     return grad
 
 

@@ -5,6 +5,7 @@ import operator
 import platform
 import resource
 import tracemalloc
+import warnings
 import weakref
 from pathlib import Path
 
@@ -51,6 +52,87 @@ def test_softmax_leaves_its_input_and_matches_shifted_exponentials_at_large_magn
     npt.assert_array_equal(x, before)
     e = np.exp(x - x.max(axis=-1, keepdims=True))
     npt.assert_array_equal(out, e / e.sum(axis=-1, keepdims=True))
+
+
+def _shifted_softmax(x):
+    """The max-shifted formula, its row sums taken as softmax takes them."""
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / np.einsum("...i->...", e)[..., None]
+
+
+def _softmax_scans(monkeypatch):
+    """Count softmax's scans of its row sums, which only the max-shifted path makes."""
+    scans, finite = [], eg._finite
+
+    def spy(data, op):
+        scans.append(op)
+        return finite(data, op)
+
+    monkeypatch.setattr(eg, "_finite", spy)
+    return scans
+
+
+def test_softmax_of_in_range_rows_is_the_unshifted_formula(monkeypatch):
+    scans = _softmax_scans(monkeypatch)
+    a, bias = rng.standard_normal((6, 4, 20)) * 20.0, rng.standard_normal((4, 20)) * 5.0
+    for out, x in ((eg.softmax(Tensor(a)), a), (eg.softmax(Tensor(a), Tensor(bias)), a + bias)):
+        e = np.exp(x)
+        npt.assert_allclose(out.data, e / e.sum(axis=-1, keepdims=True), rtol=1e-15, atol=0.0)
+    assert "softmax" not in scans
+
+
+# each sends the whole call down the max-shifted path: a row past exp's range
+# and a row whose exponentials all underflow
+_OUT_OF_RANGE = {"an entry past 710": (1, 2, 3, 715.0), "a row of all -750": (2, 0, slice(None), -750.0)}
+
+
+def _scores(case, shape=(3, 4, 7)):
+    """Standard normal scores with the entries of an ``_OUT_OF_RANGE`` case written in."""
+    x = rng.standard_normal(shape)
+    if case in _OUT_OF_RANGE:
+        *where, value = _OUT_OF_RANGE[case]
+        x[tuple(where)] = value
+    return x
+
+
+@pytest.mark.parametrize("case", sorted(_OUT_OF_RANGE))
+def test_softmax_out_of_range_runs_the_shifted_formula_bit_for_bit(case, monkeypatch):
+    scans = _softmax_scans(monkeypatch)
+    a, bias = _scores(case), rng.standard_normal((4, 7))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the unshifted exponential overflows without a warning
+        plain, biased = eg.softmax(Tensor(a)), eg.softmax(Tensor(a), Tensor(bias))
+    npt.assert_array_equal(plain.data, _shifted_softmax(a))
+    npt.assert_array_equal(biased.data, _shifted_softmax(a + bias))
+    assert scans.count("softmax") == 2
+
+
+def test_softmax_of_a_nan_bias_raises_naming_softmax():
+    bias = Parameter(np.zeros((4, 7)), "bias")
+    bias.data[1, 2] = np.nan
+    with pytest.raises(NumericError, match="softmax"):
+        eg.softmax(Tensor(rng.standard_normal((3, 4, 7))), bias)
+
+
+@pytest.mark.parametrize("case", ["in range"] + sorted(_OUT_OF_RANGE))
+def test_grad_softmax_on_both_paths(case):
+    a, bias = Parameter(_scores(case), "a"), Parameter(rng.standard_normal((4, 7)), "bias")
+    r = rng.standard_normal((3, 4, 7))
+    check_grads(lambda: weighted_sum(eg.softmax(a), r), [a])
+    check_grads(lambda: weighted_sum(eg.softmax(a, bias), r), [a, bias])
+
+
+@pytest.mark.parametrize("case", ["in range"] + sorted(_OUT_OF_RANGE))
+def test_softmax_forward_holds_little_beyond_its_output(case):
+    a, bias = Tensor(_scores(case, (40, 50, 64))), Tensor(rng.standard_normal((50, 64)))
+    for operands in ((a,), (a, bias)):
+        tracemalloc.start()
+        try:
+            out = eg.softmax(*operands)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * out.data.nbytes, (peak, out.data.nbytes)
 
 
 def test_relu_values():
@@ -157,6 +239,16 @@ def test_finite_difference_tanh_at_zero():
     x = Parameter(np.array(0.0), "x")
     grad = eg.finite_difference_grad(lambda: eg.tanh(x), x, h=1e-5)
     npt.assert_allclose(grad, 1.0, atol=1e-8)
+
+
+def test_finite_difference_perturbs_a_strided_parameter_in_place():
+    w = Parameter(np.arange(1.0, 13.0).reshape(4, 3).T, "w")
+    assert not w.data.flags.c_contiguous
+    before, r = w.data.copy(), rng.standard_normal((3, 4))
+    grad = eg.finite_difference_grad(lambda: weighted_sum(eg.mul(w, w), r), w)
+    npt.assert_allclose(grad, 2.0 * before * r, rtol=1e-8)
+    npt.assert_array_equal(w.data, before)
+    check_grads(lambda: weighted_sum(eg.mul(w, w), r), [w])
 
 
 # ---------------------------------------------------------------------------
@@ -353,6 +445,21 @@ def test_layer_norm_matches_the_textbook_formula(affine):
     if beta is not None:
         assert eg.relative_error(beta.grad, r.sum(axis=(0, 1))) <= 1e-13
     check_grads(lambda: weighted_sum(eg.layer_norm(x, gamma, beta), r), params)
+
+
+def test_layer_norm_takes_constant_arrays_as_gamma_and_beta():
+    x = Parameter(rng.standard_normal((3, 4, 8)), "x")
+    r = rng.standard_normal(x.shape)
+    for gamma, beta in ((np.ones(8), np.zeros(8)), (rng.uniform(0.5, 1.5, 8), rng.uniform(-0.5, 0.5, 8))):
+        outs, grads = [], []
+        for affine in ((gamma, beta), (Tensor(gamma), Tensor(beta))):
+            eg.zero_grads([x])
+            out = eg.layer_norm(x, *affine)
+            weighted_sum(out, r).backward()
+            outs.append(out.data)
+            grads.append(x.grad)
+        npt.assert_array_equal(outs[0], outs[1])
+        npt.assert_array_equal(grads[0], grads[1])
 
 
 def test_grad_mean_pool():
