@@ -689,7 +689,9 @@ def gather(table, index: np.ndarray) -> Tensor:
     """Look up a bias table by an integer index matrix.
 
     A (L,) table yields ``index.shape``; a (H, L) per-head table yields
-    (H,) + ``index.shape``. Gradients scatter-add back into the table.
+    (H,) + ``index.shape``. Gradients scatter-add back into the table, as
+    one bincount over head-offset indices: like ``np.add.at``, it sums each
+    entry's terms in input order, so the two agree bit for bit.
     """
     table = _lift(table)
     idx = _index(index, "gather")
@@ -701,9 +703,9 @@ def gather(table, index: np.ndarray) -> Tensor:
     nt, table_shape = table._node, table.data.shape
 
     def bw(g):
-        dt = np.zeros(table_shape)
-        np.add.at(dt, (..., idx), g)
-        nt._accumulate(dt)
+        heads, length = (1,) + table_shape if len(table_shape) == 1 else table_shape
+        bins = (np.arange(heads)[:, None] * length + idx.reshape(1, -1)).ravel()
+        nt._accumulate(np.bincount(bins, g.ravel(), heads * length).reshape(table_shape))
 
     return Tensor(out_val, (nt,), bw, "gather")
 

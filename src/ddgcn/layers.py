@@ -53,12 +53,21 @@ class CAGC:
     """Channel-wise adaptive graph convolution.
 
     Each partition subset k masks A + I, is symmetrically degree-normalized
-    and mixes channels with its own kernel ``weight[k]``; all K subsets run
-    as one contraction over (subset, neighbor). The correlation term alpha * A'
-    (one V x V map per output channel, from pairwise differences of
-    temporally pooled joint features) is added, unnormalized and unmasked,
-    to the first subset's branch; alpha starts at 0 so the initial layer is
-    the plain normalized-adjacency convolution.
+    into M_k and mixes channels with its own kernel W_k = ``weight[k]``. The
+    correlation term alpha * A' (one V x V map per output channel, from
+    pairwise differences of temporally pooled joint features) refines
+    subset 0 per channel, unnormalized and unmasked, as CTR-GCN refines a
+    shared topology:
+
+        out = sum_{k>=1} M_k x W_k + (M_0 + alpha A') o_c (x W_0)
+
+    where o_c applies channel c's map to channel c of x W_0. A' rides on
+    subset 0 because then it needs no kernel of its own: x W_0 is formed
+    once, and subset 0 and the correlation become one per-channel adjacency
+    M_0 + alpha A' times it. Subsets 1..K-1 run as one contraction over
+    (subset, neighbor). alpha scales the small xi weight, not an
+    activation, and starts at 0, so the initial layer is the plain
+    normalized-adjacency convolution.
     """
 
     def __init__(self, in_channels: int, out_channels: int, topology: SkeletonTopology,
@@ -67,7 +76,9 @@ class CAGC:
         self.out_channels = out_channels
         self.num_joints = v = topology.num_joints
         stack = masked_normalized_adjacency(topology, labeling)  # (K, V, V)
-        self.masks = Tensor(stack.transpose(1, 0, 2).reshape(-1, v))  # row i*K+k: row i of subset k
+        self.base = Tensor(stack[0])  # M_0, which the correlation term refines
+        # row i*(K-1)+k-1: row i of subset k, for k = 1..K-1
+        self.masks = Tensor(stack[1:].transpose(1, 0, 2).reshape(-1, v))
         width = correlation_width(out_channels)
         self.weight = Parameter(_uniform(rng, (len(stack), in_channels, out_channels), in_channels), f"{name}.weight")
         self.alpha = Parameter(0.0, f"{name}.alpha")
@@ -78,6 +89,14 @@ class CAGC:
     def parameters(self) -> list[Parameter]:
         return [self.weight, self.alpha, self.theta, self.phi, self.xi]
 
+    def _correlation(self, xb: Tensor, xi: Tensor) -> Tensor:
+        """A' with ``xi`` as its last map; the forward passes alpha * xi."""
+        b, _, v, _ = xb.shape
+        xbar = eg.mean_pool(xb, axis=1)
+        left = eg.reshape(xbar @ self.theta, (b, v, 1, -1))
+        right = eg.reshape(xbar @ self.phi, (b, 1, v, -1))
+        return eg.transpose(eg.tanh(left - right) @ xi, (0, 3, 1, 2))
+
     def correlation(self, x) -> Tensor:
         """Pairwise channel correlations A'.
 
@@ -85,12 +104,7 @@ class CAGC:
         xi(tanh(theta(xbar_i) - phi(xbar_j)))[c] with xbar the temporal mean
         per joint of sample b.
         """
-        xb = _batch(x, "cagc")
-        b, _, v, _ = xb.shape
-        xbar = eg.mean_pool(xb, axis=1)
-        left = eg.reshape(xbar @ self.theta, (b, v, 1, -1))
-        right = eg.reshape(xbar @ self.phi, (b, 1, v, -1))
-        return eg.transpose(eg.tanh(left - right) @ self.xi, (0, 3, 1, 2))
+        return self._correlation(_batch(x, "cagc"), self.xi)
 
     def forward(self, x, activate: bool = True) -> Tensor:
         """(B, T, V, C_in) -> (B, T, V, C_out); ReLU unless ``activate`` is False."""
@@ -98,14 +112,16 @@ class CAGC:
         if xb.shape[2] != self.num_joints or xb.shape[3] != self.in_channels:
             raise ShapeError(
                 f"cagc: expected {self.num_joints} joints x {self.in_channels} channels, got {xb.shape}")
-        agg = eg.reshape(self.masks @ xb, xb.shape[:3] + (-1,))  # (B, T, V, K*C_in)
+        c_in = self.in_channels
         kernel = eg.reshape(self.weight, (-1, self.out_channels))  # (K*C_in, C_out)
-        total = agg @ kernel
-        # subset 0's kernel is the first C_in rows of the weight, 2-D so the product
-        # folds into one GEMM; a take of an activation would scatter in backward
-        first = eg.take(kernel, np.arange(self.in_channels), axis=0)
-        per_channel = eg.transpose(xb @ first, (0, 3, 2, 1))
-        total = total + self.alpha * eg.transpose(self.correlation(xb) @ per_channel, (0, 3, 2, 1))
+        # row slices of a 2-D kernel are views, and each product folds into one GEMM;
+        # a take of an activation would scatter in backward
+        per_channel = eg.transpose(xb @ eg.take(kernel, np.arange(c_in), axis=0), (0, 3, 2, 1))
+        adjacency = self._correlation(xb, self.alpha * self.xi) + self.base  # (B, C_out, V, V)
+        total = eg.transpose(adjacency @ per_channel, (0, 3, 2, 1))
+        if kernel.shape[0] > c_in:  # subsets 1..K-1; the uniform strategy has none
+            agg = eg.reshape(self.masks @ xb, xb.shape[:3] + (-1,))  # (B, T, V, (K-1)*C_in)
+            total = agg @ eg.take(kernel, np.arange(c_in, kernel.shape[0]), axis=0) + total
         return eg.relu(total) if activate else total
 
 
@@ -193,7 +209,7 @@ class STSE:
         return [self.wq, self.wk, self.wv, self.wo, self.bq, self.bv, self.bo,
                 self.bias_tables, self.gtc_weight, self.ln_gamma, self.ln_beta]
 
-    def _heads(self, tokens: Tensor, proj: Parameter, bias=None, transposed=False) -> Tensor:
+    def _heads(self, tokens: Tensor, proj: Tensor, bias=None, transposed=False) -> Tensor:
         """Project (B, n, L, C) tokens and split the heads: (B, n, H, L, C/H),
         or (B, n, H, C/H, L) when ``transposed``."""
         b, n, length, c = tokens.shape
@@ -203,8 +219,10 @@ class STSE:
 
     def attention(self, tokens: Tensor) -> Tensor:
         """Softmax weights of each head in each window; (B, n, L, C) -> (B, n, H, L, L)."""
-        # scale the (..., L, head_dim) queries, not the (..., L, L) scores
-        q = eg.scalar_mul(self._heads(tokens, self.wq, self.bq), 1.0 / np.sqrt(self.channels // self.heads))
+        # scale the (C, C) query weight and its bias, not the (..., L, head_dim)
+        # queries or the (..., L, L) scores
+        scale = 1.0 / np.sqrt(self.channels // self.heads)
+        q = self._heads(tokens, eg.scalar_mul(self.wq, scale), eg.scalar_mul(self.bq, scale))
         scores = q @ self._heads(tokens, self.wk, transposed=True)
         return eg.softmax(scores, eg.gather(self.bias_tables, self.rel_index))
 

@@ -576,6 +576,19 @@ def test_grad_gather():
     check_grads(lambda: weighted_sum(eg.gather(flat, idx % 9), r1), [flat])
 
 
+def test_gather_backward_is_bit_equal_to_add_at():
+    # heavily repeated indices: each table entry sums many terms;
+    # weighted_sum hands the gather output exactly g as its gradient
+    idx = rng.integers(0, 7, size=(30, 30))
+    for shape in ((3, 7), (7,)):
+        table = Parameter(rng.standard_normal(shape), "table")
+        g = rng.standard_normal(shape[:-1] + idx.shape)
+        weighted_sum(eg.gather(table, idx), g).backward()
+        expected = np.zeros(shape)
+        np.add.at(expected, (..., idx), g)
+        npt.assert_array_equal(table.grad, expected)
+
+
 def test_grad_take():
     x = Parameter(rng.uniform(-1, 1, (4, 3, 2)), "x")
     idx1 = np.array([0, 2, 2, 1, 0])

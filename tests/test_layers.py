@@ -56,6 +56,18 @@ def test_cagc_correlation_term_rides_on_subset_zero(name, strategy):
     npt.assert_allclose(cagc.forward(x[None], activate=False).data[0], expected, atol=1e-10)
 
 
+@pytest.mark.parametrize("strategy", graph.STRATEGIES)
+def test_cagc_gradients_match_central_differences_at_nonzero_alpha(strategy):
+    # the uniform strategy has no subset past 0, so its forward skips the dense branch
+    topo = graph.get_topology("toy5")
+    cagc = make_cagc(topo, graph.make_partition(topo, strategy), c_in=3, c_out=4, seed=2)
+    cagc.alpha.data = np.asarray(0.3)
+    x = Tensor(np.random.default_rng(6).uniform(-1, 1, (2, 3, 5, 3)))
+    r = np.random.default_rng(7).standard_normal((2, 3, 5, 4))
+    errors = eg.grad_check(lambda: weighted_sum(cagc.forward(x, activate=False), r), cagc.parameters())
+    assert max(errors.values()) < 1e-6, errors
+
+
 def test_reference_chain_uniform_hand_computed():
     topo = graph.get_topology("toy2")
     labeling = graph.uniform_partition(topo)
@@ -399,18 +411,23 @@ def test_model_forward_probabilities():
     npt.assert_allclose(batch_probs.sum(axis=1), 1.0, atol=1e-9)
 
 
-def test_a_toy5_loss_makes_196_primitive_calls_and_no_add_in_attention(monkeypatch):
-    # the biases ride in matmul and softmax: 18 calls fewer than with an add per bias
-    model = layers.DDGCNModel(reduced_config(), seed=0)
-    calls, in_attention = collections.Counter(), []
-    # count through the engine's module globals, as perfbench's tracer does
+def count_primitive_calls(monkeypatch, record):
+    """Route every engine primitive through ``record(name, args)`` first,
+    through the engine's module globals, as perfbench's tracer does."""
     for name in eg.__all__:
         fn = getattr(eg, name)
         if inspect.isfunction(fn) and inspect.signature(fn).return_annotation == "Tensor":
             def counted(*args, _name=name, _fn=fn, **kwargs):
-                calls[_name, bool(in_attention)] += 1
+                record(_name, args)
                 return _fn(*args, **kwargs)
             monkeypatch.setattr(eg, name, counted)
+
+
+def test_a_toy5_loss_makes_208_primitive_calls_and_no_add_in_attention(monkeypatch):
+    # the biases ride in matmul and softmax: 18 calls fewer than with an add per bias
+    model = layers.DDGCNModel(reduced_config(), seed=0)
+    calls, in_attention = collections.Counter(), []
+    count_primitive_calls(monkeypatch, lambda name, args: calls.update([(name, bool(in_attention))]))
     attention = layers.STSE.attention
 
     def spied(self, tokens):
@@ -422,8 +439,23 @@ def test_a_toy5_loss_makes_196_primitive_calls_and_no_add_in_attention(monkeypat
     monkeypatch.setattr(layers.STSE, "attention", spied)
     x = np.random.default_rng(1).uniform(-1, 1, (64, 16, 5, 3))
     eg.cross_entropy(model.logits(x), np.arange(64) % 4)  # one step's forward, as engine.calls counts it
-    assert sum(calls.values()) == 196, calls
+    assert sum(calls.values()) == 208, calls
     assert calls["softmax", True] == len(model.layers) and calls["add", True] == 0
+
+
+def test_scalar_factors_scale_weights_not_activations(monkeypatch):
+    # alpha and the attention scale multiply weights: no mul or scalar_mul
+    # takes an operand larger than the largest parameter
+    model = perturbed_model()
+    largest = max(p.data.size for p in model.parameters())
+    scaled = []
+
+    def record(name, args):
+        if name in ("mul", "scalar_mul"):
+            scaled.append(max(np.size(a.data if isinstance(a, Tensor) else a) for a in args))
+    count_primitive_calls(monkeypatch, record)
+    model.logits(np.random.default_rng(1).uniform(-1, 1, (8, 16, 5, 3)))
+    assert scaled and max(scaled) <= largest, (scaled, largest)
 
 
 def test_model_rejects_wrong_input():

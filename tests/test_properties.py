@@ -46,11 +46,13 @@ def test_stacked_masks_hold_each_normalized_subset(topo):
     for strategy in graph.STRATEGIES:
         labeling = graph.make_partition(topo, strategy)
         k_total = labeling.num_subsets
-        masks = layers.CAGC(2, 3, topo, labeling, np.random.default_rng(0)).masks.data
-        assert masks.shape == (v * k_total, v)
-        for k in range(k_total):  # row i*K+k is row i of subset k
+        cagc = layers.CAGC(2, 3, topo, labeling, np.random.default_rng(0))
+        masks = cagc.masks.data
+        assert masks.shape == (v * (k_total - 1), v)
+        for k in range(k_total):  # subset 0 is the base; row i*(K-1)+k-1 is row i of subset k >= 1
             expected = graph.normalize_adjacency(graph.partition_adjacency(a, labeling, k))
-            npt.assert_array_equal(masks.reshape(v, k_total, v)[:, k], expected)
+            held = cagc.base.data if k == 0 else masks.reshape(v, k_total - 1, v)[:, k - 1]
+            npt.assert_array_equal(held, expected)
 
 
 @PROPERTIES
