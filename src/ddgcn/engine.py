@@ -57,6 +57,8 @@ import ctypes
 import itertools
 import json
 import math
+import os
+import sys
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -699,7 +701,7 @@ def gather(table, index: np.ndarray) -> Tensor:
         raise ShapeError(f"gather: table must be 1-D or 2-D, got {table.data.shape}")
     if idx.size and (idx.min() < 0 or idx.max() >= table.data.shape[-1]):
         raise ShapeError("gather: index out of table range")
-    out_val = table.data[..., idx]
+    out_val = np.take(table.data, idx, axis=-1)
     nt, table_shape = table._node, table.data.shape
 
     def bw(g):
@@ -897,21 +899,18 @@ def save_checkpoint(params: Iterable[Parameter], path, config: dict | None = Non
     with open(path, "wb") as handle:
         handle.write(json.dumps(doc).encode("utf-8") + b"\n")
         for p in params:
-            handle.write(np.ascontiguousarray(p.data, dtype="<f8").tobytes())
+            # the array's own buffer when it already is C-contiguous <f8: no bytes copy
+            handle.write(np.ascontiguousarray(p.data, dtype="<f8"))
 
 
-def load_checkpoint(path, config: dict | None = None) -> dict[str, np.ndarray]:
-    """Read a checkpoint's arrays by parameter name. The arrays are
-    read-only views into one buffer holding the data section; copy one
-    before writing to it (``assign_checkpoint`` does). With ``config``, each
-    of its keys must hold the same value in the header's config, or a
-    ValueError names the first key that differs."""
-    with open(path, "rb") as handle:
-        raw = handle.read()
-    nl = raw.find(b"\n")
-    if nl < 0:
+def _read_header(handle, path, config: dict | None) -> list[dict]:
+    """Read and check an open checkpoint's header line, and check that the
+    data section holds exactly the values it lists. Returns the params
+    entries and leaves ``handle`` at the data section."""
+    line = handle.readline()
+    if not line.endswith(b"\n"):
         raise ValueError(f"checkpoint {path} has no header line")
-    header = json.loads(raw[:nl].decode("utf-8"))
+    header = json.loads(line[:-1].decode("utf-8"))
     if not isinstance(header, dict) or header.get("format") != _CHECKPOINT_FORMAT:
         raise ValueError(f"unrecognized checkpoint format in {path}")
     if config is not None:
@@ -937,28 +936,84 @@ def load_checkpoint(path, config: dict | None = None) -> dict[str, np.ndarray]:
         total += math.prod(entry["shape"])
     if len({entry["name"] for entry in entries}) != len(entries):
         raise ValueError(f"checkpoint {path} lists a parameter name twice")
-    size = len(raw) - nl - 1
+    size = os.fstat(handle.fileno()).st_size - handle.tell()
     if size != 8 * total:
         problem = "is truncated" if size < 8 * total else "has trailing bytes"
         raise ValueError(f"checkpoint {path} {problem}: header lists {total} values, "
                          f"the data section holds {size} bytes")
-    # a view past the header, not a slice: slicing bytes would copy the data section
-    data = np.frombuffer(raw, dtype="<f8", offset=nl + 1)
-    out = {}
-    for entry in entries:
-        shape = tuple(entry["shape"])
-        start = entry["offset"]
-        out[entry["name"]] = data[start:start + math.prod(shape)].reshape(shape)
-    return out
+    return entries
+
+
+def _check_restore(params: list[Parameter], shapes: dict[str, tuple]) -> None:
+    """Raise unless every parameter's name has a checkpoint entry of its shape."""
+    for p in params:
+        if p.name not in shapes:
+            raise KeyError(f"checkpoint is missing parameter {p.name!r}")
+        if shapes[p.name] != p.data.shape:
+            raise ValueError(f"checkpoint shape {shapes[p.name]} does not match {p.name!r} {p.data.shape}")
+
+
+def _restore_target(arr: np.ndarray, filled: set[int]) -> np.ndarray:
+    """Where a restore writes a parameter's values: its array ``arr`` itself
+    if C-contiguous, writeable, native float64, owning its data and not yet
+    in ``filled`` (ids of arrays this restore fills), else a fresh array. So
+    no restore writes through a view or into another parameter's array."""
+    flags = arr.flags
+    if (flags.c_contiguous and flags.writeable and flags.owndata and arr.dtype == np.float64
+            and id(arr) not in filled):
+        filled.add(id(arr))
+        return arr
+    return np.empty(arr.shape)
+
+
+def load_checkpoint(path, config: dict | None = None,
+                    params: Iterable[Parameter] | None = None) -> dict[str, np.ndarray]:
+    """Read a checkpoint's arrays by parameter name. With ``config``, each
+    of its keys must hold the same value in the header's config, or a
+    ValueError names the first key that differs.
+
+    Without ``params``, the arrays are read-only views into one buffer
+    holding the data section; copy one before writing to it
+    (``assign_checkpoint`` does). With ``params``, it restores them with no
+    buffer in between: every check, names and shapes included, runs before
+    any parameter is written, then each block is read from the file into
+    the parameter's own array (see ``_restore_target``). It returns the
+    restored arrays. Only a file that shrinks during the reads can fail
+    after a parameter was written.
+    """
+    with open(path, "rb") as handle:
+        entries = _read_header(handle, path, config)
+        if params is None:
+            data = np.frombuffer(handle.read(), dtype="<f8")
+            return {e["name"]: data[e["offset"]:e["offset"] + math.prod(e["shape"])].reshape(e["shape"])
+                    for e in entries}
+        params = list(params)
+        by_name = {entry["name"]: entry for entry in entries}
+        _check_restore(params, {name: tuple(entry["shape"]) for name, entry in by_name.items()})
+        start, filled, out = handle.tell(), set(), {}
+        for p in params:
+            target = _restore_target(p.data, filled)
+            handle.seek(start + 8 * by_name[p.name]["offset"])
+            if handle.readinto(target) != target.nbytes:
+                raise ValueError(f"checkpoint {path} is truncated: the data section ends in {p.name!r}")
+            if sys.byteorder == "big":
+                target.byteswap(inplace=True)
+            p.data = out[p.name] = target
+        return out
 
 
 def assign_checkpoint(params: Iterable[Parameter], state: dict[str, np.ndarray]) -> None:
-    """Copy checkpoint arrays into matching parameters, verifying shapes;
-    each parameter gets its own writable float64 array."""
-    for p in params:
-        if p.name not in state:
-            raise KeyError(f"checkpoint is missing parameter {p.name!r}")
-        value = state[p.name]
-        if value.shape != p.data.shape:
-            raise ValueError(f"checkpoint shape {value.shape} does not match {p.name!r} {p.data.shape}")
-        p.data = np.array(value, dtype=np.float64)
+    """Copy checkpoint arrays into matching parameters. Every name and shape
+    is checked before any parameter is written; then each parameter's own
+    array is overwritten in place where ``_restore_target`` allows, and any
+    other parameter gets a fresh writable float64 array."""
+    params = list(params)
+    _check_restore(params, {name: np.shape(value) for name, value in state.items()})
+    filled: set[int] = set()
+    targets = [_restore_target(p.data, filled) for p in params]
+    # a state array that is or views an array about to be overwritten is copied first
+    values = [np.array(v) if {id(v), id(getattr(v, "base", None))} & filled else v
+              for v in (state[p.name] for p in params)]
+    for p, target, value in zip(params, targets, values):
+        target[...] = value
+        p.data = target

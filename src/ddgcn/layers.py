@@ -382,7 +382,10 @@ class DDGCNModel:
         eg.save_checkpoint(self.parameters(), path, self.config.describe())
 
     def load(self, path) -> None:
-        eg.assign_checkpoint(self.parameters(), eg.load_checkpoint(path, self.config.describe()))
+        """Restore the parameters from a checkpoint of this config. Like
+        ``load_state_dict``, it overwrites each parameter's array in place,
+        read straight from the file; nothing is written if a check fails."""
+        eg.load_checkpoint(path, self.config.describe(), self.parameters())
 
 
 def bone_transform(frames: np.ndarray, topology: SkeletonTopology) -> np.ndarray:

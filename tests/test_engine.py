@@ -589,6 +589,15 @@ def test_gather_backward_is_bit_equal_to_add_at():
         npt.assert_array_equal(table.grad, expected)
 
 
+def test_gather_forward_is_bit_equal_to_indexing():
+    idx = rng.integers(0, 9, size=(5, 7))
+    for shape in ((4, 9), (9,)):
+        table = rng.standard_normal(shape)
+        out = eg.gather(table, idx).data
+        assert out.shape == shape[:-1] + idx.shape
+        npt.assert_array_equal(out, table[..., idx])
+
+
 def test_grad_take():
     x = Parameter(rng.uniform(-1, 1, (4, 3, 2)), "x")
     idx1 = np.array([0, 2, 2, 1, 0])
@@ -1199,6 +1208,122 @@ def test_loaded_checkpoint_arrays_are_read_only_views_of_one_buffer(tmp_path):
     assert b.__array_interface__["data"][0] - w.__array_interface__["data"][0] == 8 * w.size
     npt.assert_array_equal(w, np.arange(6.0).reshape(2, 3))
     npt.assert_array_equal(b, np.ones(4))
+
+
+def restorable(tmp_path):
+    """A saved checkpoint of w (2, 3), alpha (), b (4,) and c (4,), and
+    zeroed parameters of the same names and shapes to restore it into."""
+    saved = [Parameter(rng.standard_normal(shape), name)
+             for name, shape in (("w", (2, 3)), ("alpha", ()), ("b", (4,)), ("c", (4,)))]
+    path = tmp_path / "r.ckpt"
+    eg.save_checkpoint(saved, path, {"a": 1})
+    return path, saved, [Parameter(np.zeros_like(p.data), p.name) for p in saved]
+
+
+def test_load_checkpoint_reads_into_each_private_array(tmp_path):
+    path, saved, params = restorable(tmp_path)
+    arrays = [p.data for p in params]
+    out = eg.load_checkpoint(path, {"a": 1}, params)
+    for p, array, s in zip(params, arrays, saved):
+        assert p.data is array and out[p.name] is array and array.flags.writeable
+        assert array.tobytes() == s.data.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["view", "read-only", "non-native", "shared"])
+def test_load_checkpoint_gives_a_foreign_array_a_fresh_one(tmp_path, kind):
+    path, saved, params = restorable(tmp_path)
+    w, alpha, b, c = params
+    owner = np.zeros(8)
+    if kind == "view":
+        c.data = owner[2:6]  # contiguous, but owned by another array
+    elif kind == "read-only":
+        c.data.flags.writeable = False
+    elif kind == "non-native":
+        c.data = c.data.astype(c.data.dtype.newbyteorder())
+    else:
+        c.data = b.data
+    b_array, c_array = b.data, c.data
+    eg.load_checkpoint(path, {"a": 1}, params)
+    assert b.data is b_array and c.data is not c_array
+    assert c.data.flags.writeable and c.data.flags.owndata and c.data.dtype == np.float64
+    for p, s in zip(params, saved):
+        npt.assert_array_equal(p.data, s.data)
+    npt.assert_array_equal(owner, 0.0)  # nothing was written through the view
+
+
+def snapshot(params):
+    return [(p.data, p.data.copy()) for p in params]
+
+
+def assert_untouched(params, snap):
+    for p, (array, values) in zip(params, snap):
+        assert p.data is array
+        npt.assert_array_equal(array, values)
+
+
+@pytest.mark.parametrize("fault, error, message", [
+    ("missing", KeyError, "missing parameter 'z'"),
+    ("shape", ValueError, "checkpoint shape \\(4,\\) does not match 'c' \\(5,\\)"),
+    ("config", ValueError, "model config differs in a"),
+    ("truncated", ValueError, "is truncated"),
+    ("over-long", ValueError, "has trailing bytes"),
+])
+def test_a_failed_load_writes_no_parameter(tmp_path, fault, error, message):
+    path, _, params = restorable(tmp_path)
+    if fault == "missing":
+        params.append(Parameter(np.ones(2), "z"))
+    elif fault == "shape":
+        params[3] = Parameter(np.ones(5), "c")
+    elif fault == "truncated":
+        path.write_bytes(path.read_bytes()[:-4])
+    elif fault == "over-long":
+        path.write_bytes(path.read_bytes() + bytes(8))
+    snap = snapshot(params)
+    with pytest.raises(error, match=message):
+        eg.load_checkpoint(path, {"a": 2 if fault == "config" else 1}, params)
+    assert_untouched(params, snap)
+
+
+# the headers, and their messages, that test_malformed_checkpoint_header_is_reported rejects
+MALFORMED_HEADERS = test_malformed_checkpoint_header_is_reported.pytestmark[0].args[1]
+
+
+@pytest.mark.parametrize("header, message", MALFORMED_HEADERS)
+def test_a_malformed_header_writes_no_parameter(tmp_path, header, message):
+    _, _, params = restorable(tmp_path)
+    snap = snapshot(params)
+    path = tmp_path / "c.ckpt"
+    line = json.dumps(header).encode("utf-8")
+    for raw, expected in ((line + b"\n" + np.zeros(4).tobytes(), message), (line, "has no header line")):
+        path.write_bytes(raw)
+        with pytest.raises(ValueError, match=expected):
+            eg.load_checkpoint(path, None, params)
+        assert_untouched(params, snap)
+
+
+def test_a_failed_assign_writes_no_parameter(tmp_path):
+    path = tmp_path / "c.ckpt"
+    eg.save_checkpoint([Parameter(np.ones(3), "a"), Parameter(np.ones(2), "b")], path)
+    state = eg.load_checkpoint(path)
+    for params, error in (([Parameter(np.zeros(3), "a"), Parameter(np.zeros(5), "b")], ValueError),
+                          ([Parameter(np.zeros(3), "a"), Parameter(np.zeros(2), "z")], KeyError)):
+        snap = snapshot(params)
+        with pytest.raises(error):
+            eg.assign_checkpoint(params, state)
+        assert_untouched(params, snap)
+
+
+@pytest.mark.parametrize("view", [False, True])
+def test_assign_checkpoint_fills_private_arrays_in_place(view):
+    a, b = Parameter(np.arange(3.0), "a"), Parameter(np.arange(3.0) + 10, "b")
+    a_array, b_array = a.data, b.data
+    # a swap: each state array is, or views, the other parameter's own array
+    state = {"a": b.data[:] if view else b.data, "b": a.data[:] if view else a.data}
+    eg.assign_checkpoint([a, b], state)
+    assert a.data is a_array and b.data is b_array
+    npt.assert_array_equal(a.data, np.arange(3.0) + 10)
+    npt.assert_array_equal(b.data, np.arange(3.0))
+
 
 def test_every_primitive_is_traced_by_the_benchmark():
     # perfbench's tracer wraps engine functions by name from outside; a primitive

@@ -593,6 +593,51 @@ def test_a_built_model_holds_its_weights_and_no_gradients():
     assert traced <= 1.1 * weights, (traced, weights)
 
 
+def test_model_load_fills_each_parameter_array_with_the_files_bits(tmp_path):
+    model = perturbed_model()
+    path = tmp_path / "m.ckpt"
+    model.save(path)
+    restored = layers.DDGCNModel(reduced_config(), seed=99)
+    arrays = [p.data for p in restored.parameters()]
+    restored.load(path)
+    for p, array, saved in zip(restored.parameters(), arrays, model.parameters()):
+        assert p.data is array and array.tobytes() == saved.data.tobytes()
+
+
+def test_model_load_restores_inside_one_engine_call(tmp_path, monkeypatch):
+    # the benchmark's tracer times a restore by wrapping engine.load_checkpoint
+    path = tmp_path / "m.ckpt"
+    perturbed_model().save(path)
+    model = layers.DDGCNModel(reduced_config(), seed=99)
+    calls = []
+    load = eg.load_checkpoint
+
+    def spy(*args):
+        out = load(*args)
+        calls.append(all(p.data is out[p.name] for p in model.parameters()))
+        return out
+
+    monkeypatch.setattr(eg, "load_checkpoint", spy)
+    model.load(path)
+    assert calls == [True]
+
+
+def test_model_load_allocates_no_second_copy_of_the_weights(tmp_path):
+    config = layers.ModelConfig(topology=graph.get_topology("ntu25"), num_classes=60)
+    path = tmp_path / "m.ckpt"
+    layers.DDGCNModel(config, seed=0).save(path)
+    model = layers.DDGCNModel(config, seed=1)
+    tracemalloc.start()
+    try:
+        model.load(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    weights = sum(p.data.nbytes for p in model.parameters())
+    # a staging buffer plus a copy per parameter makes this 2.0x
+    assert peak <= 0.1 * weights, (peak, weights)
+
+
 def test_inference_and_load_leave_every_gradient_unset(tmp_path):
     model = perturbed_model()
     model.predict_proba(np.random.default_rng(5).uniform(-1, 1, (2, 16, 5, 3)))
