@@ -131,6 +131,8 @@ def load_run_config(path: str | Path, overrides: list[str] | None = None) -> Run
 def parse_run_config(doc: dict) -> RunConfig:
     _section(doc, _TOP_KEYS, "config")
     seed = _read(doc.get("seed", 0), "seed", int)
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
     strategy = str(doc.get("strategy", "activity"))
     stream = str(doc.get("stream", "joint"))
     if stream not in STREAMS:

@@ -143,8 +143,10 @@ def class_trajectory(spec: SyntheticSpec, label: int) -> np.ndarray:
 
 def generate_synthetic(spec: SyntheticSpec) -> list[SkeletonSample]:
     """Seeded synthetic dataset; bit-identical across runs for a fixed spec."""
-    if spec.num_classes < 1 or spec.samples_per_class < 1 or spec.frames < 1:
+    if min(spec.num_classes, spec.samples_per_class, spec.frames, spec.channels) < 1:
         raise DataError("synthetic spec must have positive counts")
+    if spec.seed < 0:
+        raise DataError(f"synthetic seed must be non-negative, got {spec.seed}")
     if not (np.isfinite(spec.noise_std) and spec.noise_std >= 0.0):
         raise DataError(f"synthetic noise_std must be finite and non-negative, got {spec.noise_std}")
     samples = []

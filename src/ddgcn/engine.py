@@ -232,7 +232,7 @@ class Tensor:
             node.grad, node._backward, node._parents = None, _spent, ()
 
     def item(self) -> float:
-        return float(self.data)
+        return self.data.item()
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape})"
@@ -483,10 +483,11 @@ def _rows(s: np.ndarray, t: np.ndarray | None = None) -> np.ndarray:
 def softmax(a, bias=None) -> Tensor:
     """Softmax over the last axis of ``a + bias``.
 
-    ``bias`` (an attention bias) must broadcast onto ``a`` without enlarging
-    it. The sum, the exponential and the normalization all run in one
-    buffer, which is the output and the only array backward reads; the bias
-    gradient is reduced the way ``add`` reduces it.
+    ``bias`` (an attention bias; absent, the constant 0) must broadcast onto
+    ``a`` without enlarging it. The sum, the exponential and the
+    normalization all run in one buffer, which is the output and the only
+    array backward reads; the bias gradient is reduced the way ``add``
+    reduces it.
 
     The scores are exponentiated without a shift, and each row is divided
     by its sum if every row sum lies in ``[_SOFTMAX_MIN_SUM, inf)``. If any
@@ -497,28 +498,18 @@ def softmax(a, bias=None) -> Tensor:
     a finite sum of non-negative terms bounds each of them, so every entry
     is finite and in [0, 1].
     """
-    a = _lift(a)
+    a, bias = _lift(a), _lift(0.0 if bias is None else bias)
     _last_axis(a, "softmax")
-    na = a._node
-    if bias is None:
-        nbias, bias_shape = _CONSTANT, None
-        with np.errstate(over="ignore"):
-            s = np.exp(a.data)
-    else:
-        bias = _lift(bias)
-        if _binary_shapes(a, bias, "softmax") != a.data.shape:
-            raise ShapeError(f"softmax: bias {bias.data.shape} does not broadcast onto {a.data.shape}")
-        nbias, bias_shape = bias._node, bias.data.shape
-        s = a.data + bias.data
-        with np.errstate(over="ignore"):
-            np.exp(s, out=s)
+    if _binary_shapes(a, bias, "softmax") != a.data.shape:
+        raise ShapeError(f"softmax: bias {bias.data.shape} does not broadcast onto {a.data.shape}")
+    na, nbias, bias_shape = a._node, bias._node, bias.data.shape
+    s = a.data + bias.data
+    with np.errstate(over="ignore"):
+        np.exp(s, out=s)
     total = _rows(s)
     if not (_SOFTMAX_MIN_SUM <= total.min() and total.max() < np.inf):  # also for a NaN
-        if bias is None:
-            np.subtract(a.data, a.data.max(axis=-1, keepdims=True), out=s)
-        else:
-            np.add(a.data, bias.data, out=s)
-            s -= s.max(axis=-1, keepdims=True)
+        np.add(a.data, bias.data, out=s)
+        s -= s.max(axis=-1, keepdims=True)
         np.exp(s, out=s)
         total = _finite(_rows(s), "softmax")
     s /= total
@@ -536,8 +527,9 @@ def softmax(a, bias=None) -> Tensor:
 
 
 def layer_norm(x, gamma=None, beta=None, eps: float = 1e-8) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then optionally
-    apply the per-channel affine map gamma * xhat + beta.
+    """Normalize the last axis to zero mean / unit variance, then apply the
+    per-channel affine map gamma * xhat + beta; an absent ``gamma`` is the
+    constant 1 and an absent ``beta`` the constant 0.
 
     Centering and scaling run in one buffer, the normalized ``xhat`` that
     backward reads; the affine map adds beta in place into gamma * xhat.
@@ -545,22 +537,17 @@ def layer_norm(x, gamma=None, beta=None, eps: float = 1e-8) -> Tensor:
     """
     x = _lift(x)
     d = _last_axis(x, "layer_norm")
-    gamma = None if gamma is None else _lift(gamma)
-    beta = None if beta is None else _lift(beta)
-    if gamma is not None and gamma.data.shape != (d,):
-        raise ShapeError(f"layer_norm: gamma shape {gamma.data.shape} does not match channels {d}")
-    if beta is not None and beta.data.shape != (d,):
-        raise ShapeError(f"layer_norm: beta shape {beta.data.shape} does not match channels {d}")
+    gamma = _lift(np.ones(d) if gamma is None else gamma)
+    beta = _lift(np.zeros(d) if beta is None else beta)
+    for name, t in (("gamma", gamma), ("beta", beta)):
+        if t.data.shape != (d,):
+            raise ShapeError(f"layer_norm: {name} shape {t.data.shape} does not match channels {d}")
     xhat = x.data - _rows(x.data) / d
     inv = 1.0 / np.sqrt(_rows(xhat, xhat) / d + eps)
     xhat *= inv
-    out_val = xhat if gamma is None else xhat * gamma.data
-    if beta is not None:
-        # in place, unless out_val is still the xhat backward reads
-        out_val = xhat + beta.data if gamma is None else np.add(out_val, beta.data, out=out_val)
-    nx = x._node
-    gamma_data, ngamma = (None, _CONSTANT) if gamma is None else (gamma.data, gamma._node)
-    nbeta = _CONSTANT if beta is None else beta._node
+    out_val = xhat * gamma.data
+    out_val += beta.data
+    nx, ngamma, nbeta, gamma_data = x._node, gamma._node, beta._node, gamma.data
 
     def bw(g):
         g2 = g.reshape(-1, d)
@@ -569,8 +556,7 @@ def layer_norm(x, gamma=None, beta=None, eps: float = 1e-8) -> Tensor:
         if nbeta.requires_grad:
             nbeta._accumulate(np.einsum("ni->i", g2))
         if nx.requires_grad:
-            if gamma_data is not None:
-                g *= gamma_data
+            g *= gamma_data
             mean, mean_xhat = _rows(g) / d, _rows(g, xhat) / d
             g -= mean
             g -= xhat * mean_xhat
@@ -819,9 +805,8 @@ def zero_grads(params: Iterable[Parameter]) -> None:
 # ---------------------------------------------------------------------------
 
 def _scalar(value) -> float:
-    if isinstance(value, Tensor):
-        return float(value.data)
-    return float(value)
+    """A size-1 Tensor or number as a float, whatever its number of axes."""
+    return np.asarray(value.data if isinstance(value, Tensor) else value).item()
 
 
 def finite_difference_grad(f: Callable[[], "Tensor | float"], param: Tensor, h: float = 1e-5) -> np.ndarray:

@@ -242,8 +242,7 @@ class STSE:
         if layout.padded_frames > t:
             h = eg.take(h, layout.pad_frames, axis=1)
         # window split and merge are views, in the token order of layout.gather
-        m, n = self.spec.frames, self.spec.joints
-        tb, vb = layout.padded_frames // m, v // n
+        tb, m, vb, n = layout.grid
         grid = eg.transpose(eg.reshape(h, (b, tb, m, vb, n, c)), (0, 1, 3, 2, 4, 5))
         mixed = self.attend(eg.reshape(grid, (b, layout.num_windows, m * n, c)))
         mixed = eg.transpose(eg.reshape(mixed, (b, tb, vb, m, n, c)), (0, 1, 3, 2, 4, 5))

@@ -35,6 +35,8 @@ class TrainConfig:
             raise ConfigError(f"beta1 and beta2 must be in [0, 1), got {self.beta1} and {self.beta2}")
         if not (np.isfinite(self.eps) and self.eps > 0):
             raise ConfigError(f"eps must be positive and finite, got {self.eps}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
 
 def lr_at(epoch: int, config: TrainConfig) -> float:
@@ -94,7 +96,7 @@ def _stack_batch(samples: list[SkeletonSample]) -> tuple[np.ndarray, np.ndarray]
 # The most frames x joints one micro-batch holds. A step's tape grows with
 # the samples it holds; this bound makes the toy5 acceptance batch (80 per
 # sample) two micro-batches of 32 and an ntu25 clip (1600) its own micro-batch.
-# See README "Memory" for the sweep that chose it.
+# See the micro-batch entry of CHANGES.md for the sweep that chose it.
 MICRO_BATCH_TOKENS = 2560
 
 

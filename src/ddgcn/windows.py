@@ -37,16 +37,23 @@ class WindowSpec:
 class WindowLayout:
     """Token bookkeeping for one (T, V) grid under a WindowSpec.
 
-    ``gather`` lists flat t * V + v indices of the padded grid in window
-    order; ``scatter``, computed on each read, is the inverse permutation.
-    ``pad_frames`` maps the padded time axis back onto source frames (last
-    frame repeated).
+    ``grid`` is the padded grid as (time blocks, frames, joint blocks,
+    joints). ``gather``, computed on each read like the other properties,
+    lists flat t * V + v indices of the padded grid in window order, and
+    ``scatter`` is its inverse permutation. ``pad_frames`` maps the padded
+    time axis back onto source frames (last frame repeated).
     """
 
-    padded_frames: int
-    num_windows: int
-    gather: np.ndarray
+    grid: tuple[int, int, int, int]
     pad_frames: np.ndarray
+
+    padded_frames = property(lambda self: self.grid[0] * self.grid[1])
+    num_windows = property(lambda self: self.grid[0] * self.grid[2])
+
+    @property
+    def gather(self) -> np.ndarray:
+        tb, m, vb, n = self.grid
+        return np.arange(tb * m * vb * n, dtype=np.int64).reshape(self.grid).transpose(0, 2, 1, 3).ravel()
 
     @property
     def scatter(self) -> np.ndarray:
@@ -66,17 +73,10 @@ def split_windows(frames: int, num_joints: int, spec: WindowSpec) -> WindowLayou
     if frames < 1:
         raise ConfigError("sequence must contain at least one frame")
     m, n = spec.frames, spec.joints
-    padded = ((frames + m - 1) // m) * m
-    t_blocks = padded // m
-    v_blocks = num_joints // n
-
-    gather = (np.arange(padded * num_joints, dtype=np.int64)
-              .reshape(t_blocks, m, v_blocks, n).transpose(0, 2, 1, 3).ravel())
+    t_blocks = (frames + m - 1) // m
     return WindowLayout(
-        padded_frames=padded,
-        num_windows=t_blocks * v_blocks,
-        gather=gather,
-        pad_frames=np.minimum(np.arange(padded, dtype=np.int64), frames - 1),
+        grid=(t_blocks, m, num_joints // n, n),
+        pad_frames=np.minimum(np.arange(t_blocks * m, dtype=np.int64), frames - 1),
     )
 
 

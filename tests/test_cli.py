@@ -317,11 +317,35 @@ def test_omitted_keys_take_the_dataclass_defaults():
     assert config.synthetic == data.SyntheticSpec(3, 2, 8, topology, seed=7)
 
 
-def test_readme_run_configuration_parses():
+def readme_block(after: str, language: str) -> str:
+    """The first ``language`` code block of README.md after the text ``after``."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    block = readme.split("A complete run configuration:", 1)[1]
-    doc = json.loads(block.split("```json", 1)[1].split("```", 1)[0])
+    return readme.split(after, 1)[1].split(f"```{language}\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_run_configuration_parses():
+    doc = json.loads(readme_block("A complete run configuration:", "json"))
     assert cli.parse_run_config(doc).model.channels == tuple(doc["model"]["channels"])
+
+
+def test_readme_library_quickstart_runs(capsys):
+    exec(compile(readme_block("## Library quickstart", "python"), "README.md", "exec"), {})
+    accuracy = float(capsys.readouterr().out.splitlines()[0])
+    assert 0.0 <= accuracy <= 1.0
+
+
+@pytest.mark.parametrize("override, code, message", [
+    ("seed=-1", cli.EXIT_CONFIG, "seed must be non-negative, got -1"),
+    ("train.seed=-1", cli.EXIT_CONFIG, "seed must be non-negative, got -1"),
+    ("data.synthetic.seed=-1", cli.EXIT_DATA, "synthetic seed must be non-negative, got -1"),
+    ("data.synthetic.channels=-1", cli.EXIT_DATA, "synthetic spec must have positive counts"),
+    ("data.synthetic.channels=0", cli.EXIT_DATA, "synthetic spec must have positive counts"),
+])
+def test_negative_seed_or_channel_count_exits_with_its_code(tmp_path, capsys, override, code, message):
+    config = write_config(tmp_path, base_config(tmp_path))
+    assert cli.main(["train", "--config", config, "--set", override]) == code
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("value", ["nan", "-0.5"])

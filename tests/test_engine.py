@@ -251,6 +251,15 @@ def test_finite_difference_perturbs_a_strided_parameter_in_place():
     check_grads(lambda: weighted_sum(eg.mul(w, w), r), [w])
 
 
+def test_a_size_one_output_with_axes_reads_as_a_scalar():
+    assert Tensor(np.array([2.5])).item() == 2.5
+    x, w = Tensor(rng.standard_normal((1, 2))), Parameter(rng.standard_normal((2, 1)), "w")
+    assert eg.matmul(x, w).item() == (x.data @ w.data).item()
+    # backward accepts the (1, 1) output, and the oracle reads it the same way
+    npt.assert_allclose(eg.finite_difference_grad(lambda: eg.matmul(x, w), w), x.data.T, rtol=1e-8)
+    check_grads(lambda: eg.matmul(x, w), [w])
+
+
 # ---------------------------------------------------------------------------
 # Reverse mode vs. finite differences, per primitive
 # ---------------------------------------------------------------------------
