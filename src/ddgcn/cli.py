@@ -161,6 +161,8 @@ def parse_run_config(doc: dict) -> RunConfig:
     train_config = _build(train_mod.TrainConfig, doc, "train", {}, seed=seed)
     default_target = synthetic.frames if synthetic is not None else 64
     target_frames = _read(data_section.get("target_frames", default_target), "data.target_frames", int)
+    if target_frames < 1:
+        raise ConfigError(f"data.target_frames must be >= 1, got {target_frames}")
 
     return RunConfig(seed=seed, stream=stream, output_dir=output_dir, model=model, train=train_config,
                      data_file=data_file, synthetic=synthetic, target_frames=target_frames)

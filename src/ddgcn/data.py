@@ -12,6 +12,8 @@ trajectories over a kinematic tree, suitable for desk-scale training runs.
 from __future__ import annotations
 
 import json
+import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -149,6 +151,17 @@ def generate_synthetic(spec: SyntheticSpec) -> list[SkeletonSample]:
         raise DataError(f"synthetic seed must be non-negative, got {spec.seed}")
     if not (np.isfinite(spec.noise_std) and spec.noise_std >= 0.0):
         raise DataError(f"synthetic noise_std must be finite and non-negative, got {spec.noise_std}")
+    # the clips and one trajectory a class, refused before either is allocated
+    shape = (spec.frames, spec.topology.num_joints, spec.channels)
+    needed = 8 * spec.num_classes * (spec.samples_per_class + 1) * math.prod(shape)
+    try:
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError):  # no sysconf, or no such name on this OS
+        memory = needed
+    if needed > memory:
+        raise DataError(f"synthetic set of {spec.num_classes * spec.samples_per_class} clips of "
+                        f"{' x '.join(map(str, shape))} float64 values needs {needed / 1e9:.3g} GB, "
+                        f"more than the {memory / 1e9:.3g} GB of physical memory")
     samples = []
     trajectories = [class_trajectory(spec, c) for c in range(spec.num_classes)]
     index = 0

@@ -19,17 +19,19 @@ part of one buffer, to one node only, always in that node's shape, and
 computes in place in the gradient it is given. Inside :func:`no_tape` ops
 record no graph at all. All primitives raise :class:`ShapeError` on
 operand mismatch. Every arithmetic primitive raises :class:`NumericError`
-if it produces a non-finite value. The view and selection ops (``reshape``,
-``transpose``, ``take``, ``gather``) do not scan their output again: it is a
-view of, or entries copied from, an operand that was scanned when it was
-made. So a non-finite value written into a Parameter's ``data`` after it
-was made raises :class:`NumericError` at the first arithmetic op that
-reads it. ``softmax`` scans no output either. It exponentiates its scores
-without a shift and divides each row by its sum when every row sum is
-finite and no smaller than ``_SOFTMAX_MIN_SUM``; each entry is then a term
-of a finite sum divided by that sum, so finite and in [0, 1]. Otherwise it
-runs again shifted by the row max and checks that run's row sums, which are
-finite exactly when every entry is.
+if it produces a non-finite value, and proves most outputs finite without
+scanning them: each Tensor has ``bound``, a Python float bounding
+``max|data|`` up to rounding, that each op computes from its operands'
+(``a + b`` for ``add``, ``K * a * b`` plus the bias's for ``matmul``; each
+op's line says how). An output bounded by ``_LIMIT`` = 2^1000 is finite,
+the 2^24 margin under float64's 2^1024 absorbing every rounding term; any
+other, a NaN bound's included, is scanned by :func:`_finite`, whose exact
+magnitude becomes its bound. So a plain Tensor's ``data`` is not written
+after it is made; a Parameter's is re-read on every use, its bound taken
+with NaN-propagating max/min, so a non-finite value written into it raises
+at the first arithmetic op that reads it. The view and selection ops
+(``reshape``, ``transpose``, ``take``, ``gather``) pass their operand's
+bound on and never scan. ``softmax``'s bound is 1 (see its docstring).
 
 A bias rides inside the op it follows: ``softmax(scores, bias)`` adds an
 attention bias in the buffer it normalizes, and ``matmul(x, w, bias)`` adds
@@ -158,31 +160,40 @@ class _Constant:
 _CONSTANT = _Constant()
 
 
-# ops whose output views or copies entries of an operand scanned when it was
-# made, and softmax, which checks its row sums: terms of a finite sum divided
-# by it are finite and in [0, 1]
-_UNSCANNED = frozenset(("reshape", "transpose", "take", "gather", "softmax"))
+# ops whose output views or copies entries of their operand: they keep its
+# bound, a NaN one included, and leave a non-finite entry to the next op
+_VIEWS = frozenset(("reshape", "transpose", "take", "gather"))
+_LIMIT = 2.0 ** 1000  # an output bounded by this is finite
 
 
-def _finite(data, op: str) -> np.ndarray:
-    arr = np.asarray(data, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
+def _magnitude(arr: np.ndarray) -> float:
+    """``max|arr|`` (0 when empty) as a Python float; NaN if any entry is."""
+    return float(max(np.maximum.reduce(arr, axis=None, initial=0.0),
+                     -np.minimum.reduce(arr, axis=None, initial=0.0)))
+
+
+def _finite(arr: np.ndarray, op: str) -> float:
+    """Scan ``arr``: its magnitude, or :class:`NumericError` if not finite."""
+    bound = _magnitude(arr)
+    if not bound < math.inf:  # also for a NaN
         raise NumericError(f"non-finite values produced by {op}")
-    return arr
+    return bound
 
 
 class Tensor:
-    """A float64 array plus, when it needs a gradient, its graph node.
+    """A float64 array, an upper bound on its magnitude (see the module
+    docstring) and, when it needs a gradient, its graph node.
 
     ``requires_grad`` is True for a :class:`Parameter` and for an op output
     with such an operand; only those get a node of their own, and ``grad``,
     ``_parents`` and ``_backward`` read through to ``_node``.
     """
 
-    __slots__ = ("data", "_node")
+    __slots__ = ("data", "bound", "_node")
 
-    def __init__(self, data, _parents=(), _backward=None, _op="tensor"):
-        self.data = data if _op in _UNSCANNED else _finite(data, _op)
+    def __init__(self, data, _parents=(), _backward=None, _op="tensor", _bound=math.inf):
+        self.data = np.asarray(data, dtype=np.float64)  # an op on 0-d arrays returns a scalar
+        self.bound = _bound if _bound <= _LIMIT or _op in _VIEWS else _finite(self.data, _op)
         parents = tuple(p for p in _parents if p.requires_grad) if _taping.get() else ()
         self._node = _Node(parents, _backward) if parents else _CONSTANT
 
@@ -280,9 +291,13 @@ class Parameter(Tensor):
 
     def __init__(self, value, name: str):
         # no Tensor.__init__: a leaf node even inside no_tape()
-        self.data = _finite(value, "tensor")
+        self.data = np.asarray(value, dtype=np.float64)
+        _finite(self.data, "tensor")
         self.name = name
         self._node = _Node((), None)
+
+    # data may be written in place or replaced, so the bound is re-read on every use
+    bound = property(lambda self: _magnitude(self.data))
 
 
 def _lift(x) -> Tensor:
@@ -334,7 +349,7 @@ def add(a, b) -> Tensor:
         # a may have kept g: b gets a read-only view and copies it if it would keep it
         nb._accumulate(np.broadcast_to(gb, b_shape) if na.requires_grad else gb)
 
-    return Tensor(a.data + b.data, (na, nb), bw, "add")
+    return Tensor(a.data + b.data, (na, nb), bw, "add", a.bound + b.bound)
 
 
 def sub(a, b) -> Tensor:
@@ -346,7 +361,7 @@ def sub(a, b) -> Tensor:
         na._accumulate(_unbroadcast(g, a_shape))
         nb._accumulate(_unbroadcast(-g, b_shape))
 
-    return Tensor(a.data - b.data, (na, nb), bw, "sub")
+    return Tensor(a.data - b.data, (na, nb), bw, "sub", a.bound + b.bound)
 
 
 def mul(a, b) -> Tensor:
@@ -363,7 +378,7 @@ def mul(a, b) -> Tensor:
         if nb.requires_grad:
             nb._accumulate(_unbroadcast(g * a_data, b_shape))
 
-    return Tensor(a.data * b.data, (na, nb), bw, "mul")
+    return Tensor(a.data * b.data, (na, nb), bw, "mul", a.bound * b.bound)
 
 
 def neg(a) -> Tensor:
@@ -373,7 +388,7 @@ def neg(a) -> Tensor:
     def bw(g):
         na._accumulate(np.negative(g, out=g))
 
-    return Tensor(-a.data, (na,), bw, "neg")
+    return Tensor(-a.data, (na,), bw, "neg", a.bound)
 
 
 def scalar_mul(a, c: float) -> Tensor:
@@ -384,7 +399,7 @@ def scalar_mul(a, c: float) -> Tensor:
     def bw(g):
         na._accumulate(np.multiply(g, c, out=g))
 
-    return Tensor(c * a.data, (na,), bw, "scalar_mul")
+    return Tensor(c * a.data, (na,), bw, "scalar_mul", abs(c) * a.bound)
 
 
 def matmul(a, b, bias=None) -> Tensor:
@@ -405,6 +420,7 @@ def matmul(a, b, bias=None) -> Tensor:
     # each operand's data only for the other operand's gradient
     a_data = a.data if nb.requires_grad else None
     b_data = b.data if na.requires_grad else None
+    bound = a_shape[-1] * a.bound * b.bound  # each entry sums K products
 
     if bias is not None:
         bias = _lift(bias)
@@ -429,7 +445,8 @@ def matmul(a, b, bias=None) -> Tensor:
         out_val = a.data.reshape(-1, c_in) @ b.data
         if bias is not None:
             out_val += bias.data
-        return Tensor(out_val.reshape(out_shape), (na, nb, nbias), bw_folded, "matmul")
+            bound += bias.bound
+        return Tensor(out_val.reshape(out_shape), (na, nb, nbias), bw_folded, "matmul", bound)
 
     def bw(g):
         if na.requires_grad:
@@ -437,7 +454,7 @@ def matmul(a, b, bias=None) -> Tensor:
         if nb.requires_grad:
             nb._accumulate(_unbroadcast(np.matmul(np.swapaxes(a_data, -1, -2), g), b_shape))
 
-    return Tensor(np.matmul(a.data, b.data), (na, nb), bw, "matmul")
+    return Tensor(np.matmul(a.data, b.data), (na, nb), bw, "matmul", bound)
 
 
 def tanh(a) -> Tensor:
@@ -447,7 +464,8 @@ def tanh(a) -> Tensor:
     def bw(g):
         na._accumulate(np.multiply(g, 1.0 - out_val * out_val, out=g))
 
-    return Tensor(out_val, (na,), bw, "tanh")
+    # |tanh(x)| <= min(|x|, 1); min keeps a NaN first argument, so a NaN operand is scanned
+    return Tensor(out_val, (na,), bw, "tanh", min(a.bound, 1.0))
 
 
 def relu(a) -> Tensor:
@@ -458,7 +476,7 @@ def relu(a) -> Tensor:
     def bw(g):
         na._accumulate(np.multiply(g, out_val > 0.0, out=g))
 
-    return Tensor(out_val, (na,), bw, "relu")
+    return Tensor(out_val, (na,), bw, "relu", a.bound)
 
 
 def _last_axis(t: Tensor, op: str) -> int:
@@ -494,11 +512,11 @@ def softmax(a, bias=None) -> Tensor:
     falls outside that range (an overflow, a row of subnormals or a NaN),
     the whole call runs again in the same buffer shifted by the row max,
     whose exponential is 1, and its row sums are scanned, so a non-finite
-    operand raises :class:`NumericError`. The output itself needs no scan:
-    a finite sum of non-negative terms bounds each of them, so every entry
-    is finite and in [0, 1].
+    operand raises :class:`NumericError`. The output's bound is 1: a finite
+    sum of non-negative terms bounds each of them, so every entry is finite
+    and in [0, 1].
     """
-    a, bias = _lift(a), _lift(0.0 if bias is None else bias)
+    a, bias = _lift(a), Tensor(np.zeros(()), _bound=0.0) if bias is None else _lift(bias)
     _last_axis(a, "softmax")
     if _binary_shapes(a, bias, "softmax") != a.data.shape:
         raise ShapeError(f"softmax: bias {bias.data.shape} does not broadcast onto {a.data.shape}")
@@ -511,7 +529,8 @@ def softmax(a, bias=None) -> Tensor:
         np.add(a.data, bias.data, out=s)
         s -= s.max(axis=-1, keepdims=True)
         np.exp(s, out=s)
-        total = _finite(_rows(s), "softmax")
+        total = _rows(s)
+        _finite(total, "softmax")
     s /= total
 
     def bw(g):
@@ -523,7 +542,7 @@ def softmax(a, bias=None) -> Tensor:
             # a may have kept g: the bias gets a read-only view and copies it if it would keep it
             nbias._accumulate(np.broadcast_to(gb, bias_shape) if na.requires_grad else gb)
 
-    return Tensor(s, (na, nbias), bw, "softmax")
+    return Tensor(s, (na, nbias), bw, "softmax", 1.0)
 
 
 def layer_norm(x, gamma=None, beta=None, eps: float = 1e-8) -> Tensor:
@@ -537,8 +556,8 @@ def layer_norm(x, gamma=None, beta=None, eps: float = 1e-8) -> Tensor:
     """
     x = _lift(x)
     d = _last_axis(x, "layer_norm")
-    gamma = _lift(np.ones(d) if gamma is None else gamma)
-    beta = _lift(np.zeros(d) if beta is None else beta)
+    gamma = Tensor(np.ones(d), _bound=1.0) if gamma is None else _lift(gamma)
+    beta = Tensor(np.zeros(d), _bound=0.0) if beta is None else _lift(beta)
     for name, t in (("gamma", gamma), ("beta", beta)):
         if t.data.shape != (d,):
             raise ShapeError(f"layer_norm: {name} shape {t.data.shape} does not match channels {d}")
@@ -563,7 +582,9 @@ def layer_norm(x, gamma=None, beta=None, eps: float = 1e-8) -> Tensor:
             g *= inv
             nx._accumulate(g)
 
-    return Tensor(out_val, (nx, ngamma, nbeta), bw, "layer_norm")
+    # |xhat| <= sqrt(d) while eps > 0 and no sum of squares (at most 4 d x^2) overflows
+    bound = math.sqrt(d) * gamma.bound + beta.bound if eps > 0 and 4 * d * x.bound * x.bound <= _LIMIT else math.inf
+    return Tensor(out_val, (nx, ngamma, nbeta), bw, "layer_norm", bound)
 
 
 def mean_pool(a, axis) -> Tensor:
@@ -580,7 +601,8 @@ def mean_pool(a, axis) -> Tensor:
         gg = np.expand_dims(g, tuple(sorted(axes)))
         na._accumulate(np.broadcast_to(gg / count, a_shape))
 
-    return Tensor(a.data.mean(axis=axes), (na,), bw, "mean_pool")
+    bound = a.bound if count * a.bound <= _LIMIT else math.inf  # while the sum stays finite
+    return Tensor(a.data.mean(axis=axes), (na,), bw, "mean_pool", bound)
 
 
 def temporal_conv(x, weight, groups: int, stride: int = 1) -> Tensor:
@@ -670,7 +692,8 @@ def temporal_conv(x, weight, groups: int, stride: int = 1) -> Tensor:
         out_val += np.matmul(tap(buf, k), wk[k], out=part)
     del buf, part  # before the output's transpose-copy
     out_val = out_val.reshape(groups, t_out, b, v, c_out_g).transpose(2, 1, 3, 0, 4).reshape(b, t_out, v, c_out)
-    return Tensor(out_val, (nx, nw), bw, "temporal_conv")
+    bound = kernel * c_in_g * x.bound * weight.bound  # each entry sums kernel * C_in/groups products
+    return Tensor(out_val, (nx, nw), bw, "temporal_conv", bound)
 
 
 def gather(table, index: np.ndarray) -> Tensor:
@@ -695,7 +718,7 @@ def gather(table, index: np.ndarray) -> Tensor:
         bins = (np.arange(heads)[:, None] * length + idx.reshape(1, -1)).ravel()
         nt._accumulate(np.bincount(bins, g.ravel(), heads * length).reshape(table_shape))
 
-    return Tensor(out_val, (nt,), bw, "gather")
+    return Tensor(out_val, (nt,), bw, "gather", table.bound)
 
 
 def take(a, indices: np.ndarray, axis: int = 0) -> Tensor:
@@ -727,7 +750,7 @@ def take(a, indices: np.ndarray, axis: int = 0) -> Tensor:
             np.add.at(da, key, g)
         na._accumulate(da)
 
-    return Tensor(a.data[key] if sliced else np.take(a.data, idx, axis=axis), (na,), bw, "take")
+    return Tensor(a.data[key] if sliced else np.take(a.data, idx, axis=axis), (na,), bw, "take", a.bound)
 
 
 def reshape(a, shape) -> Tensor:
@@ -741,7 +764,7 @@ def reshape(a, shape) -> Tensor:
     def bw(g):
         na._accumulate(g.reshape(a_shape))
 
-    return Tensor(out_val, (na,), bw, "reshape")
+    return Tensor(out_val, (na,), bw, "reshape", a.bound)
 
 
 def transpose(a, axes) -> Tensor:
@@ -755,7 +778,7 @@ def transpose(a, axes) -> Tensor:
     def bw(g):
         na._accumulate(g.transpose(inverse))
 
-    return Tensor(a.data.transpose(axes), (na,), bw, "transpose")
+    return Tensor(a.data.transpose(axes), (na,), bw, "transpose", a.bound)
 
 
 def cross_entropy(logits, labels) -> Tensor:

@@ -340,11 +340,21 @@ def test_readme_library_quickstart_runs(capsys):
     ("data.synthetic.seed=-1", cli.EXIT_DATA, "synthetic seed must be non-negative, got -1"),
     ("data.synthetic.channels=-1", cli.EXIT_DATA, "synthetic spec must have positive counts"),
     ("data.synthetic.channels=0", cli.EXIT_DATA, "synthetic spec must have positive counts"),
+    ("data.target_frames=0", cli.EXIT_CONFIG, "data.target_frames must be >= 1, got 0"),
 ])
 def test_negative_seed_or_channel_count_exits_with_its_code(tmp_path, capsys, override, code, message):
     config = write_config(tmp_path, base_config(tmp_path))
     assert cli.main(["train", "--config", config, "--set", override]) == code
     assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_synthetic_set_larger_than_memory_is_refused_before_it_is_made(tmp_path, capsys):
+    config = write_config(tmp_path, base_config(tmp_path))
+    assert cli.main(["train", "--config", config, "--set", f"data.synthetic.frames={10**12}"]) == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert "synthetic set of 6 clips of 1000000000000 x 5 x 3 float64 values needs 1.08e+06 GB" in err
+    assert "of physical memory" in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
 
 

@@ -60,8 +60,9 @@ def _shifted_softmax(x):
     return e / np.einsum("...i->...", e)[..., None]
 
 
-def _softmax_scans(monkeypatch):
-    """Count softmax's scans of its row sums, which only the max-shifted path makes."""
+def _finite_scans(monkeypatch):
+    """The op names of ``_finite``'s scans, in order: softmax's are of its row
+    sums, which only the max-shifted path makes."""
     scans, finite = [], eg._finite
 
     def spy(data, op):
@@ -73,7 +74,7 @@ def _softmax_scans(monkeypatch):
 
 
 def test_softmax_of_in_range_rows_is_the_unshifted_formula(monkeypatch):
-    scans = _softmax_scans(monkeypatch)
+    scans = _finite_scans(monkeypatch)
     a, bias = rng.standard_normal((6, 4, 20)) * 20.0, rng.standard_normal((4, 20)) * 5.0
     for out, x in ((eg.softmax(Tensor(a)), a), (eg.softmax(Tensor(a), Tensor(bias)), a + bias)):
         e = np.exp(x)
@@ -97,7 +98,7 @@ def _scores(case, shape=(3, 4, 7)):
 
 @pytest.mark.parametrize("case", sorted(_OUT_OF_RANGE))
 def test_softmax_out_of_range_runs_the_shifted_formula_bit_for_bit(case, monkeypatch):
-    scans = _softmax_scans(monkeypatch)
+    scans = _finite_scans(monkeypatch)
     a, bias = _scores(case), rng.standard_normal((4, 7))
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # the unshifted exponential overflows without a warning
@@ -717,6 +718,96 @@ def test_non_finite_raises():
     with np.errstate(over="ignore"):
         with pytest.raises(NumericError, match="scalar_mul"):
             eg.scalar_mul(Tensor(np.array(1e308)), 1e10)
+
+
+# each output really overflows, and its bound passes the limit
+_OVERFLOWS = {
+    "add": lambda: eg.add(Tensor([1e308]), Tensor([1e308])),
+    "sub": lambda: eg.sub(Tensor([1e308]), Tensor([-1e308])),
+    "mul": lambda: eg.mul(Tensor([1e200]), Parameter(np.array([1e200]), "p")),
+    "scalar_mul": lambda: eg.scalar_mul(Tensor([1e308]), 10.0),
+    "matmul": lambda: eg.matmul(Tensor(np.full((2, 2), 1e200)), Parameter(np.full((2, 3), 1e200), "w")),
+    "matmul with a bias": lambda: eg.matmul(Tensor([[1e308, 0.0]]), Tensor([[1.0], [0.0]]), Tensor([1e308])),
+    "matmul over broadcast axes": lambda: eg.matmul(Tensor(np.full((3, 4), 1e160)),
+                                                    Tensor(np.full((2, 4, 2), 1e160))),
+    "temporal_conv": lambda: eg.temporal_conv(Tensor(np.full((1, 4, 2, 2), 1e200)),
+                                              Tensor(np.full((2, 1, 3), 1e200)), groups=2, stride=2),
+    "layer_norm": lambda: eg.layer_norm(Tensor([[1.0, 0.0, 0.0, 0.0]]), Tensor(np.full(4, 1.5e308))),
+    "mean_pool": lambda: eg.mean_pool(Tensor(np.full((2, 3), 1e308)), (0, 1)),
+    "cross_entropy": lambda: eg.cross_entropy(Tensor([[1e308, -1e308]]), [1]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_OVERFLOWS))
+def test_an_output_that_overflows_raises_naming_its_op(case):
+    # the op's own arithmetic overflows, as it did before bounds; nothing else may warn
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericError, match=f"produced by {case.split()[0]}$"):
+            _OVERFLOWS[case]()
+
+
+# each bound passes the limit, but the output is finite
+_LOOSE_BOUNDS = {
+    "add": lambda: eg.add(Tensor([1e308]), Tensor([-1e308])),
+    "mul": lambda: eg.mul(Tensor([1e200, 1.0]), Parameter(np.array([1.0, 1e200]), "p")),
+    "matmul": lambda: eg.matmul(Tensor([[1e200, 1.0]]), Tensor([[0.0], [1e200]]), Tensor([1e300])),
+    "temporal_conv": lambda: eg.temporal_conv(Tensor(np.tile([1e200, 0.0], (1, 3, 2, 1))),
+                                              Tensor(np.array([[[0.0], [1e200]]])), groups=1),
+    "layer_norm": lambda: eg.layer_norm(Tensor([[1e151, -1e151]])),
+    "mean_pool": lambda: eg.mean_pool(Tensor(np.full((100,), 1e300)), 0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_LOOSE_BOUNDS))
+def test_an_output_past_the_bound_limit_is_scanned_and_returned(case, monkeypatch):
+    scans = _finite_scans(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a NumPy scalar bound would warn as it overflows
+        out = _LOOSE_BOUNDS[case]()
+    assert scans[-1] == case and type(out.bound) is float
+    assert out.bound == np.abs(out.data).max() < np.inf
+
+
+@pytest.mark.parametrize("op, f", [
+    ("neg", eg.neg), ("relu", eg.relu), ("tanh", eg.tanh), ("layer_norm", eg.layer_norm),
+    ("layer_norm", lambda p: eg.layer_norm(Tensor(np.ones((2, 3))), p)),
+    ("mean_pool", lambda p: eg.mean_pool(p, 0)), ("scalar_mul", lambda p: eg.scalar_mul(p, 2.0)),
+    ("add", lambda p: eg.add(p, 1.0)), ("mul", lambda p: eg.mul(Tensor(np.zeros(3)), p)),
+    ("matmul", lambda p: eg.matmul(Tensor(np.ones((1, 3))), eg.reshape(p, (3, 1)))),
+])
+def test_a_nan_in_a_parameter_raises_at_the_first_arithmetic_op_that_reads_it(op, f):
+    p = Parameter(np.ones(3), "p")
+    f(p)
+    p.data[1] = np.nan
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(NumericError, match=f"produced by {op}$"):
+            f(p)
+
+
+def test_a_scan_allocates_no_array():
+    arr = rng.standard_normal((40, 50, 64))
+    magnitude = np.abs(arr).max()
+    tracemalloc.start()
+    try:
+        bound = eg._finite(arr, "tensor")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert bound == magnitude and type(bound) is float
+    assert peak < 0.01 * arr.nbytes, (peak, arr.nbytes)
+
+
+def test_a_toy5_prediction_scans_only_its_input(monkeypatch):
+    config = layers.ModelConfig(topology=graph.get_topology("toy5"), num_classes=4,
+                                channels=(16, 16, 32, 32), strides=(1, 1, 2, 1),
+                                window=WindowSpec(4, 5), heads=4)
+    model = layers.DDGCNModel(config, seed=0)
+    x = np.random.default_rng(0).standard_normal((8, 16, 5, 3))
+    scans = _finite_scans(monkeypatch)
+    for clips in (x, x[0]):
+        model.predict_proba(clips)
+        assert scans == ["tensor"]
+        scans.clear()
 
 
 def test_view_and_selection_ops_leave_a_non_finite_entry_to_the_next_arithmetic_op():

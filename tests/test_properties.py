@@ -158,3 +158,58 @@ def test_gradients_of_random_op_graphs_with_reused_nodes(ops, seed):
     assume(all(np.abs(x).min() > 1e-3 for x in relu_inputs))
     for p in params:
         assert eg.relative_error(p.grad, eg.finite_difference_grad(f, p)) <= 1e-4, p.name
+
+
+@st.composite
+def operands(draw, shape):
+    """A Tensor or a Parameter of ``shape`` holding standard normals, or one
+    value repeated so that sums of products reach their bound, scaled by
+    10^k, k in [-3, 150], so a bound may pass the limit and be scanned instead."""
+    if draw(st.booleans()):
+        values = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal(shape)
+    else:
+        values = np.full(shape, draw(st.floats(-1.0, 1.0)))
+    values *= 10.0 ** draw(st.integers(-3, 150))
+    return eg.Parameter(values, "p") if draw(st.booleans()) else eg.Tensor(values)
+
+
+def assert_within_bound(out):
+    """``max|out| <= out.bound`` up to rounding, a relative K * eps for a sum
+    of K terms, which the bound limit's margin absorbs."""
+    assert type(out.bound) is float  # a NumPy scalar would warn where the bound overflows
+    peak = np.abs(out.data).max(initial=0.0)
+    assert peak <= out.bound * (1.0 + 1e-12), (peak, out.bound)
+
+
+@PROPERTIES
+@given(operands((3, 2, 4)), operands((2, 4)), st.floats(-1e150, 1e150))
+def test_elementwise_outputs_lie_within_their_bounds(a, b, c):
+    for out in (eg.add(a, b), eg.sub(b, a), eg.mul(a, b), eg.neg(a), eg.scalar_mul(a, c),
+                eg.relu(a), eg.tanh(a), eg.softmax(a), eg.softmax(a, b)):
+        assert_within_bound(out)
+
+
+@PROPERTIES
+@given(st.integers(1, 4), st.integers(0, 3), st.data())
+def test_matmul_outputs_lie_within_their_bounds(k, n, data):
+    a = data.draw(operands((2, 3, k)))
+    for out in (eg.matmul(a, data.draw(operands((k, n)))),
+                eg.matmul(a, data.draw(operands((k, n))), data.draw(operands((n,)))),
+                eg.matmul(data.draw(operands((3, k))), data.draw(operands((2, k, n))))):
+        assert_within_bound(out)
+
+
+@PROPERTIES
+@given(st.integers(1, 6), st.integers(1, 3), st.sampled_from([1, 2]), st.integers(1, 3), st.data())
+def test_temporal_conv_outputs_lie_within_their_bounds(frames, kernel, groups, stride, data):
+    x = data.draw(operands((2, frames, 3, 2 * groups)))
+    weight = data.draw(operands((2 * groups, 2, kernel)))
+    assert_within_bound(eg.temporal_conv(x, weight, groups, stride))
+
+
+@PROPERTIES
+@given(operands((3, 4, 5)), operands((5,)), operands((5,)),
+       st.sampled_from([0, 2, (1,), (0, 2), (2, 1), (0, 1, 2)]))
+def test_layer_norm_and_mean_pool_outputs_lie_within_their_bounds(x, gamma, beta, axis):
+    for out in (eg.layer_norm(x), eg.layer_norm(x, gamma, beta), eg.mean_pool(x, axis)):
+        assert_within_bound(out)
