@@ -29,7 +29,12 @@ other, a NaN bound's included, is scanned by :func:`_finite`, whose exact
 magnitude becomes its bound. So a plain Tensor's ``data`` is not written
 after it is made; a Parameter's is re-read on every use, its bound taken
 with NaN-propagating max/min, so a non-finite value written into it raises
-at the first arithmetic op that reads it. The view and selection ops
+at the first arithmetic op that reads it. A Parameter's array is fixed for
+its life: the constructor copies any value that is not an owned,
+writeable, C-contiguous, native float64 array, ``p.data = x`` copies into
+it (another shape is a :class:`ShapeError`), and restores and Adam write in
+place; only :func:`flatten_parameters` replaces it, by a view of the same
+values in one flat buffer. The view and selection ops
 (``reshape``, ``transpose``, ``take``, ``gather``) pass their operand's
 bound on and never scan. ``softmax``'s bound is 1 (see its docstring).
 
@@ -71,7 +76,7 @@ __all__ = [
     "Tensor", "Parameter", "no_tape", "add", "sub", "mul", "neg", "scalar_mul",
     "matmul", "tanh", "relu", "softmax", "layer_norm",
     "mean_pool", "temporal_conv", "gather", "take", "reshape", "transpose",
-    "cross_entropy", "zero_grads", "finite_difference_grad", "relative_error",
+    "cross_entropy", "zero_grads", "flatten_parameters", "finite_difference_grad", "relative_error",
     "grad_check", "save_checkpoint", "load_checkpoint", "assign_checkpoint",
 ]
 
@@ -285,19 +290,30 @@ class Parameter(Tensor):
     ``grad`` is ``None`` until a ``backward()`` reaches the parameter, which
     then keeps the array it is handed, or until :func:`zero_grads` gives it
     zeros; later backwards add into that array in place.
+
+    Its array is fixed for its life (see the module docstring): ``p.data =
+    x`` copies ``x`` into it, and only :func:`flatten_parameters` replaces it.
     """
 
-    __slots__ = ("name",)
+    __slots__ = ("name", "_array")
 
     def __init__(self, value, name: str):
         # no Tensor.__init__: a leaf node even inside no_tape()
-        self.data = np.asarray(value, dtype=np.float64)
-        _finite(self.data, "tensor")
+        array = np.asarray(value, dtype=np.float64)  # another dtype or byte order is copied
+        flags = array.flags
+        self._array = array if flags.owndata and flags.writeable and flags.c_contiguous else array.copy()
+        _finite(self._array, "tensor")
         self.name = name
         self._node = _Node((), None)
 
-    # data may be written in place or replaced, so the bound is re-read on every use
-    bound = property(lambda self: _magnitude(self.data))
+    def _assign(self, value) -> None:
+        if np.shape(value) != self._array.shape:
+            raise ShapeError(f"parameter {self.name!r} has shape {self._array.shape}, got {np.shape(value)}")
+        self._array[...] = value
+
+    data = property(lambda self: self._array, _assign)
+    # data may be written in place, so the bound is re-read on every use
+    bound = property(lambda self: _magnitude(self._array))
 
 
 def _lift(x) -> Tensor:
@@ -416,6 +432,8 @@ def matmul(a, b, bias=None) -> Tensor:
         raise ShapeError(f"matmul: operands must be at least 2-D, got {a.data.shape} and {b.data.shape}")
     if a.data.shape[-1] != b.data.shape[-2]:
         raise ShapeError(f"matmul: inner dimensions differ for {a.data.shape} and {b.data.shape}")
+    if a.data.shape[-1] == 0:
+        raise ShapeError(f"matmul: needs a non-empty inner axis, got {a.data.shape} and {b.data.shape}")
     na, nb, a_shape, b_shape = a._node, b._node, a.data.shape, b.data.shape
     # each operand's data only for the other operand's gradient
     a_data = a.data if nb.requires_grad else None
@@ -553,6 +571,10 @@ def layer_norm(x, gamma=None, beta=None, eps: float = 1e-8) -> Tensor:
     Centering and scaling run in one buffer, the normalized ``xhat`` that
     backward reads; the affine map adds beta in place into gamma * xhat.
     Backward computes the input gradient in place in the output gradient.
+
+    If the input's bound lets a sum of squares (at most 4·d·x²) pass
+    ``_LIMIT``, each row is first scaled below 1 by a power of two, which is
+    exact, and eps by its square, floored at the smallest normal float.
     """
     x = _lift(x)
     d = _last_axis(x, "layer_norm")
@@ -561,9 +583,15 @@ def layer_norm(x, gamma=None, beta=None, eps: float = 1e-8) -> Tensor:
     for name, t in (("gamma", gamma), ("beta", beta)):
         if t.data.shape != (d,):
             raise ShapeError(f"layer_norm: {name} shape {t.data.shape} does not match channels {d}")
-    xhat = x.data - _rows(x.data) / d
-    inv = 1.0 / np.sqrt(_rows(xhat, xhat) / d + eps)
+    in_range = 4 * d * x.bound * x.bound <= _LIMIT
+    x_data, scale, row_eps = x.data, 1.0, eps
+    if not in_range:
+        scale = np.ldexp(1.0, -np.maximum(np.frexp(np.abs(x.data).max(axis=-1, keepdims=True))[1], 0))
+        x_data, row_eps = x.data * scale, np.maximum(eps * scale * scale, np.finfo(np.float64).tiny)
+    xhat = x_data - _rows(x_data) / d
+    inv = 1.0 / np.sqrt(_rows(xhat, xhat) / d + row_eps)
     xhat *= inv
+    inv *= scale  # d xhat / dx of the unscaled input
     out_val = xhat * gamma.data
     out_val += beta.data
     nx, ngamma, nbeta, gamma_data = x._node, gamma._node, beta._node, gamma.data
@@ -582,8 +610,8 @@ def layer_norm(x, gamma=None, beta=None, eps: float = 1e-8) -> Tensor:
             g *= inv
             nx._accumulate(g)
 
-    # |xhat| <= sqrt(d) while eps > 0 and no sum of squares (at most 4 d x^2) overflows
-    bound = math.sqrt(d) * gamma.bound + beta.bound if eps > 0 and 4 * d * x.bound * x.bound <= _LIMIT else math.inf
+    # |xhat| <= sqrt(d) while eps > 0; a scaled row is scanned, as its input may not be finite
+    bound = math.sqrt(d) * gamma.bound + beta.bound if eps > 0 and in_range else math.inf
     return Tensor(out_val, (nx, ngamma, nbeta), bw, "layer_norm", bound)
 
 
@@ -823,6 +851,18 @@ def zero_grads(params: Iterable[Parameter]) -> None:
         p.grad = np.zeros_like(p.data)
 
 
+def flatten_parameters(params: Sequence[Parameter]) -> np.ndarray:
+    """Move ``params`` into one new flat buffer in the given order (in
+    ``parameters()`` order, the checkpoint layout) and return it; each
+    Parameter's array becomes the view of its block."""
+    flat = np.concatenate([p.data for p in params], axis=None)
+    offset = 0
+    for p in params:
+        p._array = flat[offset:offset + p.data.size].reshape(p.data.shape)
+        offset += p.data.size
+    return flat
+
+
 # ---------------------------------------------------------------------------
 # Gradient oracle
 # ---------------------------------------------------------------------------
@@ -953,25 +993,18 @@ def _read_header(handle, path, config: dict | None) -> list[dict]:
 
 
 def _check_restore(params: list[Parameter], shapes: dict[str, tuple]) -> None:
-    """Raise unless every parameter's name has a checkpoint entry of its shape."""
+    """Raise unless every parameter's name has a checkpoint entry of its
+    shape, its array is writeable, and no two parameters hold one array."""
     for p in params:
         if p.name not in shapes:
             raise KeyError(f"checkpoint is missing parameter {p.name!r}")
         if shapes[p.name] != p.data.shape:
             raise ValueError(f"checkpoint shape {shapes[p.name]} does not match {p.name!r} {p.data.shape}")
-
-
-def _restore_target(arr: np.ndarray, filled: set[int]) -> np.ndarray:
-    """Where a restore writes a parameter's values: its array ``arr`` itself
-    if C-contiguous, writeable, native float64, owning its data and not yet
-    in ``filled`` (ids of arrays this restore fills), else a fresh array. So
-    no restore writes through a view or into another parameter's array."""
-    flags = arr.flags
-    if (flags.c_contiguous and flags.writeable and flags.owndata and arr.dtype == np.float64
-            and id(arr) not in filled):
-        filled.add(id(arr))
-        return arr
-    return np.empty(arr.shape)
+        if not p.data.flags.writeable:
+            raise ValueError(f"cannot restore {p.name!r}: its array is read-only")
+    # a Parameter copies every value it does not own, so two share memory only as one array
+    if len({id(p.data) for p in params}) < len(params):
+        raise ValueError("two parameters hold one array")
 
 
 def load_checkpoint(path, config: dict | None = None,
@@ -983,11 +1016,10 @@ def load_checkpoint(path, config: dict | None = None,
     Without ``params``, the arrays are read-only views into one buffer
     holding the data section; copy one before writing to it
     (``assign_checkpoint`` does). With ``params``, it restores them with no
-    buffer in between: every check, names and shapes included, runs before
-    any parameter is written, then each block is read from the file into
-    the parameter's own array (see ``_restore_target``). It returns the
-    restored arrays. Only a file that shrinks during the reads can fail
-    after a parameter was written.
+    buffer in between: every check, ``_check_restore``'s included, runs
+    before any parameter is written, then each block is read from the file
+    into the parameter's own array. It returns those arrays. Only a file
+    that shrinks during the reads can fail after a parameter was written.
     """
     with open(path, "rb") as handle:
         entries = _read_header(handle, path, config)
@@ -998,30 +1030,23 @@ def load_checkpoint(path, config: dict | None = None,
         params = list(params)
         by_name = {entry["name"]: entry for entry in entries}
         _check_restore(params, {name: tuple(entry["shape"]) for name, entry in by_name.items()})
-        start, filled, out = handle.tell(), set(), {}
+        start, out = handle.tell(), {}
         for p in params:
-            target = _restore_target(p.data, filled)
+            target = out[p.name] = p.data
             handle.seek(start + 8 * by_name[p.name]["offset"])
             if handle.readinto(target) != target.nbytes:
                 raise ValueError(f"checkpoint {path} is truncated: the data section ends in {p.name!r}")
             if sys.byteorder == "big":
                 target.byteswap(inplace=True)
-            p.data = out[p.name] = target
         return out
 
 
 def assign_checkpoint(params: Iterable[Parameter], state: dict[str, np.ndarray]) -> None:
-    """Copy checkpoint arrays into matching parameters. Every name and shape
-    is checked before any parameter is written; then each parameter's own
-    array is overwritten in place where ``_restore_target`` allows, and any
-    other parameter gets a fresh writable float64 array."""
+    """Copy checkpoint arrays into matching parameters' own arrays. Every
+    check of ``_check_restore`` runs before any parameter is written, and
+    each state array is copied first, so it may be, or view, a parameter's
+    array (a swap works)."""
     params = list(params)
     _check_restore(params, {name: np.shape(value) for name, value in state.items()})
-    filled: set[int] = set()
-    targets = [_restore_target(p.data, filled) for p in params]
-    # a state array that is or views an array about to be overwritten is copied first
-    values = [np.array(v) if {id(v), id(getattr(v, "base", None))} & filled else v
-              for v in (state[p.name] for p in params)]
-    for p, target, value in zip(params, targets, values):
-        target[...] = value
-        p.data = target
+    for p, value in zip(params, [np.array(state[p.name]) for p in params]):
+        p.data = value

@@ -126,16 +126,13 @@ class CAGC:
 
 
 def sgc_reference(x: np.ndarray, topology: SkeletonTopology, labeling: PartitionLabeling,
-                  weights: np.ndarray, normalization: str = "symmetric") -> np.ndarray:
+                  weights: np.ndarray) -> np.ndarray:
     """Per-vertex spatial graph convolution, written as explicit loops.
 
     This is the oracle path for the vectorized CAGC: each root gathers its
-    neighbors under A + I, weighting either by the inverse cardinality of
-    the neighbor's subset ("cardinality") or by symmetric degree
-    normalization of the masked adjacency ("symmetric"). No nonlinearity.
+    neighbors under A + I, weighting each by the symmetric degree
+    normalization of its subset's masked adjacency. No nonlinearity.
     """
-    if normalization not in ("cardinality", "symmetric"):
-        raise ValueError(f"unknown normalization {normalization!r}")
     v = topology.num_joints
     t, vx, _ = x.shape
     if vx != v:
@@ -151,18 +148,11 @@ def sgc_reference(x: np.ndarray, topology: SkeletonTopology, labeling: Partition
         inv_sqrt.append(np.where(deg > 0, 1.0 / np.sqrt(np.where(deg > 0, deg, 1.0)), 0.0))
 
     for i in range(v):
-        neighborhood = [j for j in range(v) if full[i, j] != 0.0]
-        counts = {}
-        for j in neighborhood:
-            k = labeling.label_of(i, j)
-            counts[k] = counts.get(k, 0) + 1
-        for j in neighborhood:
-            k = labeling.label_of(i, j)
-            if normalization == "cardinality":
-                coeff = 1.0 / counts[k]
-            else:
+        for j in range(v):
+            if full[i, j] != 0.0:
+                k = labeling.label_of(i, j)
                 coeff = inv_sqrt[k][i] * full[i, j] * inv_sqrt[k][j]
-            out[:, i, :] += coeff * (x[:, j, :] @ weights[k])
+                out[:, i, :] += coeff * (x[:, j, :] @ weights[k])
     return out
 
 

@@ -47,7 +47,10 @@ def lr_at(epoch: int, config: TrainConfig) -> float:
 
 
 class Adam:
-    """Standard Adam with bias correction; one slot pair per parameter."""
+    """Standard Adam with bias correction. The constructor moves the
+    parameters into one flat buffer, ``data`` (``engine.flatten_parameters``),
+    and ``m``, ``v`` and each step's gathered ``grad`` are flat in its layout,
+    so a step is a few in-place vector ops, rounded as the textbook formula."""
 
     def __init__(self, params: list[eg.Parameter], config: TrainConfig):
         self.params = params
@@ -55,8 +58,10 @@ class Adam:
         self.beta2 = config.beta2
         self.eps = config.eps
         self.step_count = 0
-        self.m = [np.zeros_like(p.data) for p in params]
-        self.v = [np.zeros_like(p.data) for p in params]
+        self.data = eg.flatten_parameters(params)
+        self.m = np.zeros_like(self.data)
+        self.v = np.zeros_like(self.data)
+        self.grad = np.empty_like(self.data)
 
     def step(self, lr: float) -> None:
         """One update from each parameter's ``grad``. Every gradient is
@@ -70,13 +75,23 @@ class Adam:
                 raise ShapeError(f"gradient shape mismatch for {p.name}")
         self.step_count += 1
         t = self.step_count
-        for i, p in enumerate(self.params):
-            g = p.grad
-            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * g * g
-            m_hat = self.m[i] / (1.0 - self.beta1 ** t)
-            v_hat = self.v[i] / (1.0 - self.beta2 ** t)
-            p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        m, v, g = self.m, self.v, self.grad
+        np.concatenate([p.grad for p in self.params], axis=None, out=g)
+        v *= self.beta2
+        step = (1.0 - self.beta2) * g
+        step *= g
+        v += step
+        m *= self.beta1
+        g *= 1.0 - self.beta1
+        m += g
+        # data -= lr * m_hat / (sqrt(v_hat) + eps), computed in g and step
+        np.divide(v, 1.0 - self.beta2 ** t, out=step)
+        np.sqrt(step, out=step)
+        step += self.eps
+        np.divide(m, 1.0 - self.beta1 ** t, out=g)
+        g *= lr
+        g /= step
+        self.data -= g
 
 
 @dataclass(frozen=True)

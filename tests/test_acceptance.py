@@ -87,8 +87,7 @@ def test_criterion_1_oracle_equivalence():
                 cagc = layers.CAGC(3, 4, topo, labeling, np.random.default_rng(seed))
                 x = rng.uniform(-1.0, 1.0, (3, topo.num_joints, 3))
                 pre = cagc.forward(x[None], activate=False).data[0]
-                ref = layers.sgc_reference(x, topo, labeling,
-                                           cagc.weight.data, "symmetric")
+                ref = layers.sgc_reference(x, topo, labeling, cagc.weight.data)
                 worst = max(worst, float(np.abs(pre - ref).max()))
     elapsed = time.perf_counter() - start
     report(1, "oracle equivalence", worst <= 1e-10 and elapsed < 10.0,

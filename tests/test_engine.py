@@ -243,13 +243,13 @@ def test_finite_difference_tanh_at_zero():
 
 
 def test_finite_difference_perturbs_a_strided_parameter_in_place():
-    w = Parameter(np.arange(1.0, 13.0).reshape(4, 3).T, "w")
+    # a Parameter copies a strided value into its own array, so the strided operand is a Tensor
+    w = Tensor(np.arange(1.0, 13.0).reshape(4, 3).T)
     assert not w.data.flags.c_contiguous
     before, r = w.data.copy(), rng.standard_normal((3, 4))
     grad = eg.finite_difference_grad(lambda: weighted_sum(eg.mul(w, w), r), w)
     npt.assert_allclose(grad, 2.0 * before * r, rtol=1e-8)
     npt.assert_array_equal(w.data, before)
-    check_grads(lambda: weighted_sum(eg.mul(w, w), r), [w])
 
 
 def test_a_size_one_output_with_axes_reads_as_a_scalar():
@@ -470,6 +470,22 @@ def test_layer_norm_takes_constant_arrays_as_gamma_and_beta():
             grads.append(x.grad)
         npt.assert_array_equal(outs[0], outs[1])
         npt.assert_array_equal(grads[0], grads[1])
+
+
+def test_layer_norm_rescales_rows_whose_squares_overflow():
+    npt.assert_allclose(eg.layer_norm(Tensor([[1e200, -1e200, 0.0]])).data, [[1.5 ** 0.5, -1.5 ** 0.5, 0.0]],
+                        rtol=1e-15)
+    npt.assert_array_equal(eg.layer_norm(Tensor(np.full((1, 3), 1e200))).data, 0.0)  # eps keeps a floor
+    # a power-of-two scale is exact: at eps = 0 both directions match the small input's bits
+    x, r = Parameter(rng.standard_normal((2, 5)), "x"), rng.standard_normal((2, 5))
+    big = Parameter(x.data * 2.0 ** 600, "big")
+    outs = []
+    for p in (x, big):
+        eg.zero_grads([p])
+        outs.append(eg.layer_norm(p, eps=0.0))
+        weighted_sum(outs[-1], r).backward()
+    npt.assert_array_equal(outs[0].data, outs[1].data)
+    npt.assert_array_equal(x.grad, big.grad * 2.0 ** 600)
 
 
 def test_grad_mean_pool():
@@ -1329,28 +1345,6 @@ def test_load_checkpoint_reads_into_each_private_array(tmp_path):
         assert array.tobytes() == s.data.tobytes()
 
 
-@pytest.mark.parametrize("kind", ["view", "read-only", "non-native", "shared"])
-def test_load_checkpoint_gives_a_foreign_array_a_fresh_one(tmp_path, kind):
-    path, saved, params = restorable(tmp_path)
-    w, alpha, b, c = params
-    owner = np.zeros(8)
-    if kind == "view":
-        c.data = owner[2:6]  # contiguous, but owned by another array
-    elif kind == "read-only":
-        c.data.flags.writeable = False
-    elif kind == "non-native":
-        c.data = c.data.astype(c.data.dtype.newbyteorder())
-    else:
-        c.data = b.data
-    b_array, c_array = b.data, c.data
-    eg.load_checkpoint(path, {"a": 1}, params)
-    assert b.data is b_array and c.data is not c_array
-    assert c.data.flags.writeable and c.data.flags.owndata and c.data.dtype == np.float64
-    for p, s in zip(params, saved):
-        npt.assert_array_equal(p.data, s.data)
-    npt.assert_array_equal(owner, 0.0)  # nothing was written through the view
-
-
 def snapshot(params):
     return [(p.data, p.data.copy()) for p in params]
 
@@ -1359,6 +1353,47 @@ def assert_untouched(params, snap):
     for p, (array, values) in zip(params, snap):
         assert p.data is array
         npt.assert_array_equal(array, values)
+
+
+def test_a_parameter_keeps_its_array_for_life():
+    p = Parameter(np.zeros((2, 3)), "p")
+    array, value = p.data, np.arange(6.0).reshape(2, 3)
+    p.data = value
+    assert p.data is array and not np.shares_memory(array, value)
+    npt.assert_array_equal(array, value)
+    with pytest.raises(ShapeError, match=r"'p' has shape \(2, 3\), got \(6,\)"):
+        p.data = np.zeros(6)
+    npt.assert_array_equal(array, value)
+    fresh = np.ones(3)
+    assert Parameter(fresh, "q").data is fresh  # an owned, writeable, C-contiguous float64 array is kept
+
+
+def test_a_parameter_copies_a_value_it_does_not_own():
+    owner, read_only = np.arange(8.0), np.arange(6.0)
+    read_only.flags.writeable = False
+    for value in (owner[2:8], owner[:6].reshape(3, 2).T, owner[:6].astype(">f8"), read_only):
+        p = Parameter(value, "p")
+        flags = p.data.flags
+        assert flags.owndata and flags.writeable and flags.c_contiguous and p.data.dtype == np.float64
+        assert not np.shares_memory(p.data, value)
+        npt.assert_array_equal(p.data, value)
+
+
+@pytest.mark.parametrize("kind", ["read-only", "shared"])
+def test_a_restore_refuses_an_array_it_may_not_write(tmp_path, kind):
+    path, _, params = restorable(tmp_path)
+    if kind == "read-only":
+        params[3].data.flags.writeable = False
+        message = "cannot restore 'c': its array is read-only"
+    else:
+        params[3] = Parameter(params[2].data, "c")  # b's own array: writing c would overwrite b
+        message = "two parameters hold one array"
+    snap = snapshot(params)
+    for restore in (lambda: eg.load_checkpoint(path, {"a": 1}, params),
+                    lambda: eg.assign_checkpoint(params, eg.load_checkpoint(path))):
+        with pytest.raises(ValueError, match=message):
+            restore()
+        assert_untouched(params, snap)
 
 
 @pytest.mark.parametrize("fault, error, message", [

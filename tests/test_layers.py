@@ -72,27 +72,29 @@ def test_reference_chain_uniform_hand_computed():
     topo = graph.get_topology("toy2")
     labeling = graph.uniform_partition(topo)
     x = np.array([[[1.0], [3.0]]])  # one frame, two joints, one channel
-    out = layers.sgc_reference(x, topo, labeling, [np.eye(1)], "cardinality")
-    # root 0 averages both joints; the leaf only sees itself
-    npt.assert_allclose(out, [[[2.0], [3.0]]])
+    out = layers.sgc_reference(x, topo, labeling, [np.eye(1)])
+    # A + I rows have degrees 2 (the root: itself and its child) and 1 (the
+    # leaf: itself), so the root weighs itself by 1/2 and its child by
+    # 1/sqrt(2 * 1); the leaf only sees itself
+    npt.assert_allclose(out, [[[0.5 * 1.0 + 3.0 / np.sqrt(2.0)], [3.0]]], rtol=1e-15)
 
 
 def test_reference_cardinality_two_neighbors():
     topo = graph.get_topology("chain3")
     labeling = graph.distance_partition(topo)
     x = np.array([[[1.0], [10.0], [100.0]]])
-    out = layers.sgc_reference(x, topo, labeling, [np.eye(1), np.eye(1)], "cardinality")
-    # joint 1 has one distance-1 neighbor under A + I (its child), weight 1
-    npt.assert_allclose(out[0, 1, 0], 10.0 + 100.0)
-    # joint 0: self plus child at factor 1/Z with Z = 1 each
-    npt.assert_allclose(out[0, 0, 0], 1.0 + 10.0)
+    out = layers.sgc_reference(x, topo, labeling, [np.eye(1), np.eye(1)])
+    # subset 0 is I, so every joint weighs itself by 1; subset 1 is A, whose
+    # row degrees are 1, 1 and 0, so joint 0 weighs its child by 1 and
+    # joint 1 its child by 1 * 0: the leaf's zero degree zeroes the pair
+    npt.assert_allclose(out, [[[1.0 + 10.0], [10.0], [100.0]]], rtol=1e-15)
 
 
 def test_reference_isolated_in_subset_contributes_self_only():
     topo = SkeletonTopology(1, (), root=0)
     labeling = graph.uniform_partition(topo)
     x = np.array([[[4.0, -2.0]]])
-    out = layers.sgc_reference(x, topo, labeling, [np.eye(2)], "cardinality")
+    out = layers.sgc_reference(x, topo, labeling, [np.eye(2)])
     npt.assert_allclose(out, x)
 
 

@@ -7,10 +7,13 @@ import functools
 
 import numpy as np
 import numpy.testing as npt
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from ddgcn import data, engine as eg, graph, layers
 from ddgcn.checks import weighted_sum
+from ddgcn.engine import Tensor
+from ddgcn.errors import ShapeError
 from ddgcn.graph import SkeletonTopology
 from ddgcn.windows import WindowSpec, split_windows
 
@@ -190,13 +193,18 @@ def test_elementwise_outputs_lie_within_their_bounds(a, b, c):
 
 
 @PROPERTIES
-@given(st.integers(1, 4), st.integers(0, 3), st.data())
+@given(st.integers(0, 4), st.integers(0, 3), st.data())
 def test_matmul_outputs_lie_within_their_bounds(k, n, data):
     a = data.draw(operands((2, 3, k)))
-    for out in (eg.matmul(a, data.draw(operands((k, n)))),
-                eg.matmul(a, data.draw(operands((k, n))), data.draw(operands((n,)))),
-                eg.matmul(data.draw(operands((3, k))), data.draw(operands((2, k, n))))):
-        assert_within_bound(out)
+    calls = (lambda: eg.matmul(a, data.draw(operands((k, n)))),
+             lambda: eg.matmul(a, data.draw(operands((k, n))), data.draw(operands((n,)))),
+             lambda: eg.matmul(data.draw(operands((3, k))), data.draw(operands((2, k, n)))))
+    for call in calls:
+        if k == 0:  # an empty inner axis is refused on the folded and the broadcast path
+            with pytest.raises(ShapeError, match="matmul: needs a non-empty inner axis"):
+                call()
+        else:
+            assert_within_bound(call())
 
 
 @PROPERTIES
@@ -213,3 +221,14 @@ def test_temporal_conv_outputs_lie_within_their_bounds(frames, kernel, groups, s
 def test_layer_norm_and_mean_pool_outputs_lie_within_their_bounds(x, gamma, beta, axis):
     for out in (eg.layer_norm(x), eg.layer_norm(x, gamma, beta), eg.mean_pool(x, axis)):
         assert_within_bound(out)
+
+
+@PROPERTIES
+@given(st.integers(2, 6), st.integers(0, 2**32 - 1), st.integers(150, 307))
+def test_layer_norm_of_rows_whose_squares_overflow_is_the_textbook_value(d, seed, exponent):
+    # at 10^150 and up eps is negligible, so each row normalizes like its rescaled copy near 1
+    rows = np.random.default_rng(seed).uniform(-1.0, 1.0, (3, d))
+    out = eg.layer_norm(Tensor(rows * 10.0 ** exponent))
+    expected = (rows - rows.mean(axis=1, keepdims=True)) / rows.std(axis=1, keepdims=True)
+    npt.assert_allclose(out.data, expected, rtol=1e-12, atol=1e-12)
+    assert_within_bound(out)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -71,10 +73,33 @@ def test_adam_refuses_a_bad_gradient_before_moving_anything(q_grad, error, messa
     with pytest.raises(error, match=message):
         opt.step(lr=0.1)
     assert opt.step_count == 0
-    for slot in opt.m + opt.v:
+    for slot in (opt.m, opt.v):
+        assert slot.shape == (3,)
         npt.assert_array_equal(slot, 0.0)
     npt.assert_array_equal(p.data, [1.0, -2.0])
     npt.assert_array_equal(q.data, [0.5])
+
+
+def test_adam_keeps_the_parameters_in_one_flat_buffer_in_checkpoint_order(tmp_path):
+    params = [Parameter(np.arange(6.0).reshape(2, 3), "w"), Parameter(np.asarray(2.0), "alpha"),
+              Parameter(np.ones(4), "b")]
+    path = tmp_path / "c.ckpt"
+    eg.save_checkpoint(params, path)
+    offsets = [entry["offset"] for entry in json.loads(path.read_bytes().split(b"\n")[0])["params"]]
+    opt = train.Adam(params, train.TrainConfig())
+    for p in params:
+        p.grad = np.full(p.data.shape, 0.5)
+    opt.step(lr=0.1)
+    assert opt.data.shape == opt.m.shape == opt.v.shape == (11,)
+    start = opt.data.__array_interface__["data"][0]
+    views = [p.data for p in params]
+    for p, offset in zip(params, offsets):
+        assert p.data.base is opt.data and p.data.__array_interface__["data"][0] == start + 8 * offset
+    assert not np.array_equal(opt.data, np.arange(11.0))  # the step moved the buffer
+    # a restore writes through each view into the buffer
+    eg.load_checkpoint(path, None, params)
+    assert all(p.data is view for p, view in zip(params, views))
+    npt.assert_array_equal(opt.data, [0, 1, 2, 3, 4, 5, 2, 1, 1, 1, 1])
 
 
 def test_adam_first_step_hand_computed():
@@ -258,6 +283,25 @@ def test_micro_batched_training_writes_byte_identical_files(tmp_path, monkeypatc
                       for name, ext in (("history", "csv"), ("model", "ckpt"))])
     assert sizes == [2, 2, 2] * 6
     assert files[0] == files[1]
+
+
+def test_a_training_step_leaves_every_parameter_a_view_into_one_buffer(monkeypatch):
+    model, optimizers = toy5_acceptance_model(), []
+    adam = train.Adam
+
+    def record(params, config):
+        optimizers.append(adam(params, config))
+        return optimizers[-1]
+
+    monkeypatch.setattr(train, "Adam", record)
+    train.train(model, toy5_batch(8), train.TrainConfig(epochs=1, batch_size=8))
+    (opt,) = optimizers
+    params, offset, start = model.parameters(), 0, opt.data.__array_interface__["data"][0]
+    assert opt.step_count == 1 and opt.params == params
+    for p in params:  # in parameters() order, the checkpoint layout
+        assert p.data.base is opt.data and p.data.__array_interface__["data"][0] == start + 8 * offset
+        offset += p.data.size
+    assert opt.data.shape == opt.m.shape == opt.v.shape == (offset,)
 
 
 @pytest.mark.parametrize("block, name, op", [("stse", "bias_tables", "softmax"), ("cagc", "weight", "matmul")])
