@@ -1379,6 +1379,25 @@ def test_a_parameter_copies_a_value_it_does_not_own():
         npt.assert_array_equal(p.data, value)
 
 
+@pytest.mark.parametrize("kind", ["view", "non-native"])
+def test_load_checkpoint_gives_a_foreign_array_a_fresh_one(tmp_path, kind):
+    # The fresh array is made when the Parameter is built; a restore then reads
+    # into it and never writes through the foreign array.
+    path, saved, params = restorable(tmp_path)
+    owner = np.zeros(8)
+    foreign = owner[2:6] if kind == "view" else np.zeros(4, dtype=">f8")
+    params[3] = c = Parameter(foreign, "c")
+    c_array = c.data
+    assert c_array is not foreign and not np.shares_memory(c_array, foreign)
+    eg.load_checkpoint(path, {"a": 1}, params)
+    assert c.data is c_array
+    assert c.data.flags.writeable and c.data.flags.owndata and c.data.dtype == np.float64
+    for p, s in zip(params, saved):
+        npt.assert_array_equal(p.data, s.data)
+    npt.assert_array_equal(foreign, 0.0)  # nothing was written through the foreign array
+    npt.assert_array_equal(owner, 0.0)
+
+
 @pytest.mark.parametrize("kind", ["read-only", "shared"])
 def test_a_restore_refuses_an_array_it_may_not_write(tmp_path, kind):
     path, _, params = restorable(tmp_path)
