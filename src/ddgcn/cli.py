@@ -177,6 +177,8 @@ def _load_samples(config: RunConfig) -> list[data_mod.SkeletonSample]:
             raw = data_mod.load_dataset(config.data_file, expected_joints=model.topology.num_joints)
         except (OSError, UnicodeDecodeError) as exc:
             raise DataError(f"cannot read dataset file {config.data_file}: {exc}") from exc
+        if not raw:
+            raise DataError(f"dataset file {config.data_file} holds no samples")
     else:
         raise ConfigError("config has no data source (data.file or data.synthetic)")
     for s in raw:

@@ -52,6 +52,38 @@ class SyntheticSpec:
     channels: int = 3
 
 
+def _refuse_constant(token: str):
+    raise ValueError(f"{token} is not a JSON number")
+
+
+# Python's json reads NaN, Infinity and -Infinity, which JSON does not have
+_DECODER = json.JSONDecoder(parse_constant=_refuse_constant)
+
+
+def _coordinates(frames, line: str) -> np.ndarray:
+    """``frames`` as a float64 array; a ValueError names a coordinate that
+    is not a JSON number.
+
+    A float64 dtype would read ``true`` as 1 and ``"1.5"`` as 1.5, so the
+    dtype is inferred instead, which a string or a null takes out of the int
+    and float kinds. A bool among numbers is still read as one, so the text
+    of the line is tested too: ``true`` and ``null`` spell a "u", which no
+    key does, and ``false`` adds an "f" to the one in "frames". Only a line
+    that fails a test is walked coordinate by coordinate.
+    """
+    values = np.array(frames)
+    if values.dtype.kind in "if" and "u" not in line and line.find("f", line.find("f") + 1) < 0:
+        return values.astype(np.float64, copy=False)
+    stack = [frames]
+    while stack:
+        value = stack.pop()
+        if isinstance(value, list):
+            stack.extend(value)
+        elif type(value) not in (int, float):
+            raise ValueError(f"coordinate {json.dumps(value)} is not a JSON number")
+    return np.asarray(frames, dtype=np.float64)
+
+
 def load_dataset(path: str | Path, expected_joints: int | None = None) -> list[SkeletonSample]:
     """Read a JSON-lines dataset, validating every line.
 
@@ -64,15 +96,15 @@ def load_dataset(path: str | Path, expected_joints: int | None = None) -> list[S
             if not line.strip():
                 continue
             try:
-                doc = json.loads(line)
-            except json.JSONDecodeError as exc:
+                doc = _DECODER.decode(line)
+            except ValueError as exc:  # a JSONDecodeError, or a NaN or Infinity
                 raise DataError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
             try:
                 sample_id = str(doc["id"])
                 label = read_number(int, doc["label"])
                 joints = read_number(int, doc["joints"])
                 channels = read_number(int, doc["channels"])
-                frames = np.asarray(doc["frames"], dtype=np.float64)
+                frames = _coordinates(doc["frames"], line)
             except (KeyError, TypeError, ValueError) as exc:
                 raise DataError(f"{path}:{lineno}: malformed sample: {exc}") from exc
             if frames.shape[:1] == (0,):

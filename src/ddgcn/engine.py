@@ -38,9 +38,11 @@ values in one flat buffer. The view and selection ops
 (``reshape``, ``transpose``, ``take``, ``gather``) pass their operand's
 bound on and never scan. ``softmax``'s bound is 1 (see its docstring).
 
-A bias rides inside the op it follows: ``softmax(scores, bias)`` adds an
-attention bias in the buffer it normalizes, and ``matmul(x, w, bias)`` adds
-a projection bias into the GEMM output, so neither needs an ``add`` and its
+One rule adds every bias: ``matmul(a, b, bias)``, the only primitive with
+a bias operand, adds any ``bias`` that broadcasts onto the product without
+enlarging it in place into the GEMM output, and reduces its gradient with
+``_unbroadcast``, as ``add`` does. So a projection bias, an attention bias
+before ``softmax`` and a term summed into a product need no ``add`` and its
 activation-sized output. ``softmax`` and ``layer_norm`` work in one buffer
 and take their row sums with ``einsum``, without a product temporary.
 
@@ -347,17 +349,17 @@ def _index(index, op: str) -> np.ndarray:
     return idx.astype(np.int64, copy=False)
 
 
-def _binary_shapes(a: Tensor, b: Tensor, op: str) -> tuple[int, ...]:
+def _binary_shapes(a_shape: tuple[int, ...], b_shape: tuple[int, ...], op: str) -> tuple[int, ...]:
     try:
-        return np.broadcast_shapes(a.data.shape, b.data.shape)
+        return np.broadcast_shapes(a_shape, b_shape)
     except ValueError as exc:
-        raise ShapeError(f"{op}: incompatible shapes {a.data.shape} and {b.data.shape}") from exc
+        raise ShapeError(f"{op}: incompatible shapes {a_shape} and {b_shape}") from exc
 
 
 def add(a, b) -> Tensor:
     a, b = _lift(a), _lift(b)
-    _binary_shapes(a, b, "add")
     na, nb, a_shape, b_shape = a._node, b._node, a.data.shape, b.data.shape
+    _binary_shapes(a_shape, b_shape, "add")
 
     def bw(g):
         na._accumulate(_unbroadcast(g, a_shape))
@@ -370,8 +372,8 @@ def add(a, b) -> Tensor:
 
 def sub(a, b) -> Tensor:
     a, b = _lift(a), _lift(b)
-    _binary_shapes(a, b, "sub")
     na, nb, a_shape, b_shape = a._node, b._node, a.data.shape, b.data.shape
+    _binary_shapes(a_shape, b_shape, "sub")
 
     def bw(g):
         na._accumulate(_unbroadcast(g, a_shape))
@@ -382,8 +384,8 @@ def sub(a, b) -> Tensor:
 
 def mul(a, b) -> Tensor:
     a, b = _lift(a), _lift(b)
-    _binary_shapes(a, b, "mul")
     na, nb, a_shape, b_shape = a._node, b._node, a.data.shape, b.data.shape
+    _binary_shapes(a_shape, b_shape, "mul")
     # each operand's data only for the other operand's gradient
     a_data = a.data if nb.requires_grad else None
     b_data = b.data if na.requires_grad else None
@@ -419,13 +421,17 @@ def scalar_mul(a, c: float) -> Tensor:
 
 
 def matmul(a, b, bias=None) -> Tensor:
-    """Matrix product with NumPy broadcasting over leading axes.
+    """Matrix product with NumPy broadcasting over leading axes, plus ``bias``.
 
     A 2-D ``b`` (a weight) folds the leading axes of ``a`` into one
     (N, C_in) matrix, so each direction is a single GEMM and the weight
-    gradient is formed without a per-leading-index stack of products. Only
-    then may a (C_out,) ``bias`` be given: it is added in place into the
-    GEMM output, and its gradient is the column sum of the output gradient.
+    gradient is formed without a per-leading-index stack of products.
+
+    ``bias`` (absent, the constant 0) may be any array that broadcasts onto
+    the product without enlarging it, on either path: a (C_out,) projection
+    bias, an (H, L, L) attention bias onto (B, n, H, L, L) scores, or a
+    full-size term. It is added in place into the GEMM output, and its
+    gradient is the output gradient reduced with ``_unbroadcast``.
     """
     a, b = _lift(a), _lift(b)
     if a.ndim < 2 or b.ndim < 2:
@@ -435,44 +441,41 @@ def matmul(a, b, bias=None) -> Tensor:
     if a.data.shape[-1] == 0:
         raise ShapeError(f"matmul: needs a non-empty inner axis, got {a.data.shape} and {b.data.shape}")
     na, nb, a_shape, b_shape = a._node, b._node, a.data.shape, b.data.shape
+    out_shape = _binary_shapes(a_shape[:-2], b_shape[:-2], "matmul") + (a_shape[-2], b_shape[-1])
+    bound = a_shape[-1] * a.bound * b.bound  # each entry sums K products
+    nbias = _CONSTANT
+    if bias is not None:
+        bias = _lift(bias)
+        nbias, bias_shape = bias._node, bias.data.shape
+        if _binary_shapes(bias_shape, out_shape, "matmul") != out_shape:
+            raise ShapeError(f"matmul: bias {bias_shape} does not broadcast onto the product {out_shape}")
+        bound += bias.bound
     # each operand's data only for the other operand's gradient
     a_data = a.data if nb.requires_grad else None
     b_data = b.data if na.requires_grad else None
-    bound = a_shape[-1] * a.bound * b.bound  # each entry sums K products
+    folded = b.ndim == 2
 
-    if bias is not None:
-        bias = _lift(bias)
-        if b.ndim != 2 or bias.data.shape != b_shape[-1:]:
-            raise ShapeError(f"matmul: a bias needs a 2-D right operand and shape ({b_shape[-1]},), "
-                             f"got bias {bias.data.shape} with right operand {b_shape}")
-    if b.ndim == 2:
-        c_in, c_out = b_shape
-        out_shape = a_shape[:-1] + (c_out,)
-        nbias = _CONSTANT if bias is None else bias._node
-
-        # bw rebuilds the (N, C_in) view from a's data, so the closure keeps no extra copy
-        def bw_folded(g):
-            g2 = g.reshape(-1, c_out)
-            if nbias.requires_grad:
-                nbias._accumulate(g2.sum(axis=0))
+    # the folded bw rebuilds the (N, C_in) view from a's data, so the closure keeps no extra copy
+    def bw(g):
+        if folded:
+            g2 = g.reshape(-1, b_shape[1])
             if na.requires_grad:
                 na._accumulate((g2 @ b_data.T).reshape(a_shape))
             if nb.requires_grad:
-                nb._accumulate(a_data.reshape(-1, c_in).T @ g2)
+                nb._accumulate(a_data.reshape(-1, b_shape[0]).T @ g2)
+            g = g2.reshape(out_shape)  # the bias sums run over g2's rows in order
+        else:
+            if na.requires_grad:
+                na._accumulate(_unbroadcast(np.matmul(g, np.swapaxes(b_data, -1, -2)), a_shape))
+            if nb.requires_grad:
+                nb._accumulate(_unbroadcast(np.matmul(np.swapaxes(a_data, -1, -2), g), b_shape))
+        if nbias.requires_grad:  # last, as the bias may keep g
+            nbias._accumulate(_unbroadcast(g, bias_shape))
 
-        out_val = a.data.reshape(-1, c_in) @ b.data
-        if bias is not None:
-            out_val += bias.data
-            bound += bias.bound
-        return Tensor(out_val.reshape(out_shape), (na, nb, nbias), bw_folded, "matmul", bound)
-
-    def bw(g):
-        if na.requires_grad:
-            na._accumulate(_unbroadcast(np.matmul(g, np.swapaxes(b_data, -1, -2)), a_shape))
-        if nb.requires_grad:
-            nb._accumulate(_unbroadcast(np.matmul(np.swapaxes(a_data, -1, -2), g), b_shape))
-
-    return Tensor(np.matmul(a.data, b.data), (na, nb), bw, "matmul", bound)
+    out_val = (a.data.reshape(-1, b_shape[0]) @ b.data).reshape(out_shape) if folded else np.matmul(a.data, b.data)
+    if bias is not None:
+        out_val += bias.data
+    return Tensor(out_val, (na, nb, nbias), bw, "matmul", bound)
 
 
 def tanh(a) -> Tensor:
@@ -516,14 +519,13 @@ def _rows(s: np.ndarray, t: np.ndarray | None = None) -> np.ndarray:
     return total[..., None]
 
 
-def softmax(a, bias=None) -> Tensor:
-    """Softmax over the last axis of ``a + bias``.
+def softmax(a) -> Tensor:
+    """Softmax over the last axis of ``a``.
 
-    ``bias`` (an attention bias; absent, the constant 0) must broadcast onto
-    ``a`` without enlarging it. The sum, the exponential and the
-    normalization all run in one buffer, which is the output and the only
-    array backward reads; the bias gradient is reduced the way ``add``
-    reduces it.
+    It takes no bias: an attention bias rides in the ``matmul`` that forms
+    the scores (see the module docstring). ``a`` is exponentiated straight
+    into one buffer, which is normalized in place and is the output and the
+    only array backward reads.
 
     The scores are exponentiated without a shift, and each row is divided
     by its sum if every row sum lies in ``[_SOFTMAX_MIN_SUM, inf)``. If any
@@ -534,18 +536,14 @@ def softmax(a, bias=None) -> Tensor:
     sum of non-negative terms bounds each of them, so every entry is finite
     and in [0, 1].
     """
-    a, bias = _lift(a), Tensor(np.zeros(()), _bound=0.0) if bias is None else _lift(bias)
+    a = _lift(a)
     _last_axis(a, "softmax")
-    if _binary_shapes(a, bias, "softmax") != a.data.shape:
-        raise ShapeError(f"softmax: bias {bias.data.shape} does not broadcast onto {a.data.shape}")
-    na, nbias, bias_shape = a._node, bias._node, bias.data.shape
-    s = a.data + bias.data
+    na = a._node
     with np.errstate(over="ignore"):
-        np.exp(s, out=s)
+        s = np.exp(a.data)
     total = _rows(s)
-    if not (_SOFTMAX_MIN_SUM <= total.min() and total.max() < np.inf):  # also for a NaN
-        np.add(a.data, bias.data, out=s)
-        s -= s.max(axis=-1, keepdims=True)
+    if not (_SOFTMAX_MIN_SUM <= total.min(initial=1.0) and total.max(initial=1.0) < np.inf):  # also for a NaN
+        np.subtract(a.data, a.data.max(axis=-1, keepdims=True), out=s)
         np.exp(s, out=s)
         total = _rows(s)
         _finite(total, "softmax")
@@ -555,12 +553,8 @@ def softmax(a, bias=None) -> Tensor:
         g -= _rows(g, s)
         g *= s
         na._accumulate(g)
-        if nbias.requires_grad:
-            gb = _unbroadcast(g, bias_shape)
-            # a may have kept g: the bias gets a read-only view and copies it if it would keep it
-            nbias._accumulate(np.broadcast_to(gb, bias_shape) if na.requires_grad else gb)
 
-    return Tensor(s, (na, nbias), bw, "softmax", 1.0)
+    return Tensor(s, (na,), bw, "softmax", 1.0)
 
 
 def layer_norm(x, gamma=None, beta=None, eps: float = 1e-8) -> Tensor:

@@ -65,9 +65,10 @@ class CAGC:
     subset 0 because then it needs no kernel of its own: x W_0 is formed
     once, and subset 0 and the correlation become one per-channel adjacency
     M_0 + alpha A' times it. Subsets 1..K-1 run as one contraction over
-    (subset, neighbor). alpha scales the small xi weight, not an
-    activation, and starts at 0, so the initial layer is the plain
-    normalized-adjacency convolution.
+    (subset, neighbor), whose matmul bias is the subset-0 term; M_0 (V, V, 1)
+    is the bias of A''s last product, so the block makes no add. alpha
+    scales the small xi weight, not an activation, and starts at 0, so the
+    initial layer is the plain normalized-adjacency convolution.
     """
 
     def __init__(self, in_channels: int, out_channels: int, topology: SkeletonTopology,
@@ -76,7 +77,7 @@ class CAGC:
         self.out_channels = out_channels
         self.num_joints = v = topology.num_joints
         stack = masked_normalized_adjacency(topology, labeling)  # (K, V, V)
-        self.base = Tensor(stack[0])  # M_0, which the correlation term refines
+        self.base = Tensor(stack[0][:, :, None])  # M_0 as (V, V, 1), which the correlation term refines
         # row i*(K-1)+k-1: row i of subset k, for k = 1..K-1
         self.masks = Tensor(stack[1:].transpose(1, 0, 2).reshape(-1, v))
         width = correlation_width(out_channels)
@@ -89,13 +90,14 @@ class CAGC:
     def parameters(self) -> list[Parameter]:
         return [self.weight, self.alpha, self.theta, self.phi, self.xi]
 
-    def _correlation(self, xb: Tensor, xi: Tensor) -> Tensor:
-        """A' with ``xi`` as its last map; the forward passes alpha * xi."""
+    def _correlation(self, xb: Tensor, xi: Tensor, base=None) -> Tensor:
+        """A' with ``xi`` as its last map, plus ``base`` (V, V, 1) if given;
+        the forward passes alpha * xi and M_0."""
         b, _, v, _ = xb.shape
         xbar = eg.mean_pool(xb, axis=1)
         left = eg.reshape(xbar @ self.theta, (b, v, 1, -1))
         right = eg.reshape(xbar @ self.phi, (b, 1, v, -1))
-        return eg.transpose(eg.tanh(left - right) @ xi, (0, 3, 1, 2))
+        return eg.transpose(eg.matmul(eg.tanh(left - right), xi, base), (0, 3, 1, 2))
 
     def correlation(self, x) -> Tensor:
         """Pairwise channel correlations A'.
@@ -117,11 +119,11 @@ class CAGC:
         # row slices of a 2-D kernel are views, and each product folds into one GEMM;
         # a take of an activation would scatter in backward
         per_channel = eg.transpose(xb @ eg.take(kernel, np.arange(c_in), axis=0), (0, 3, 2, 1))
-        adjacency = self._correlation(xb, self.alpha * self.xi) + self.base  # (B, C_out, V, V)
+        adjacency = self._correlation(xb, self.alpha * self.xi, self.base)  # (B, C_out, V, V)
         total = eg.transpose(adjacency @ per_channel, (0, 3, 2, 1))
         if kernel.shape[0] > c_in:  # subsets 1..K-1; the uniform strategy has none
             agg = eg.reshape(self.masks @ xb, xb.shape[:3] + (-1,))  # (B, T, V, (K-1)*C_in)
-            total = agg @ eg.take(kernel, np.arange(c_in, kernel.shape[0]), axis=0) + total
+            total = eg.matmul(agg, eg.take(kernel, np.arange(c_in, kernel.shape[0]), axis=0), total)
         return eg.relu(total) if activate else total
 
 
@@ -213,8 +215,8 @@ class STSE:
         # queries or the (..., L, L) scores
         scale = 1.0 / np.sqrt(self.channels // self.heads)
         q = self._heads(tokens, eg.scalar_mul(self.wq, scale), eg.scalar_mul(self.bq, scale))
-        scores = q @ self._heads(tokens, self.wk, transposed=True)
-        return eg.softmax(scores, eg.gather(self.bias_tables, self.rel_index))
+        keys = self._heads(tokens, self.wk, transposed=True)
+        return eg.softmax(eg.matmul(q, keys, eg.gather(self.bias_tables, self.rel_index)))
 
     def attend(self, tokens: Tensor) -> Tensor:
         """Multi-head attention inside each window; (B, n, L, C) -> same."""

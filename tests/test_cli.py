@@ -195,6 +195,29 @@ def test_fractional_or_boolean_sample_field_is_data_error(tmp_path, capsys, key,
     assert f"ds.jsonl:2: malformed sample: {message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value, message", [
+    (True, "malformed sample: coordinate true"), (False, "malformed sample: coordinate false"),
+    ("1.5", 'malformed sample: coordinate "1.5"'), (None, "malformed sample: coordinate null"),
+    (float("nan"), "invalid JSON: NaN"), (float("-inf"), "invalid JSON: -Infinity"),
+])
+def test_a_coordinate_that_is_not_a_json_number_is_data_error(tmp_path, capsys, value, message):
+    odd = clip("odd")
+    odd["frames"] = [[[0.1, 0.2, 0.3]] * 4 + [[0.1, value, 0.3]]] * 2
+    config = file_config(tmp_path, [clip("ok"), odd])
+    assert cli.main(["train", "--config", config]) == cli.EXIT_DATA
+    assert f"ds.jsonl:2: {message} is not a JSON number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["", "\n  \n"])
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_a_dataset_file_with_no_samples_is_data_error(tmp_path, capsys, command, text):
+    config = file_config(tmp_path, [])
+    (tmp_path / "ds.jsonl").write_text(text)
+    checkpoint = ["--checkpoint", str(tmp_path / "model.ckpt")] if command == "eval" else []
+    assert cli.main([command, "--config", config] + checkpoint) == cli.EXIT_DATA
+    assert "ds.jsonl holds no samples" in capsys.readouterr().err
+
+
 def test_channel_mismatch_is_data_error(tmp_path, capsys):
     config = file_config(tmp_path, [clip("flat", channels=2)])
     assert cli.main(["train", "--config", config]) == cli.EXIT_DATA

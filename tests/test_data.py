@@ -34,6 +34,19 @@ def test_load_single_sample(tmp_path):
     assert samples[0].label == 0
 
 
+def test_load_reads_every_json_number_whatever_else_the_line_spells(tmp_path):
+    # a "u" or a second "f" in the line, or an int past int64, sends it down the coordinate walk
+    path = tmp_path / "odd.jsonl"
+    frames = [[[1, -2.5, 3], [0.0, 1e-300, 7]]]
+    write_lines(path, [sample_doc("plain", frames=frames), sample_doc("full-of-fluff", frames=frames),
+                       sample_doc("big", frames=[[[10**20, 0, 0], [0, 0, 0]]])])
+    plain, fluff, big = data.load_dataset(path)
+    npt.assert_array_equal(plain.frames, [[[1.0, -2.5, 3.0], [0.0, 1e-300, 7.0]]])
+    npt.assert_array_equal(fluff.frames, plain.frames)
+    assert big.frames[0, 0, 0] == 1e20
+    assert plain.frames.dtype == fluff.frames.dtype == big.frames.dtype == np.float64
+
+
 def test_load_rejects_joint_mismatch_by_id(tmp_path):
     path = tmp_path / "bad.jsonl"
     write_lines(path, [sample_doc(sample_id="odd-one", joints=24,

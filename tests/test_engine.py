@@ -75,10 +75,9 @@ def _finite_scans(monkeypatch):
 
 def test_softmax_of_in_range_rows_is_the_unshifted_formula(monkeypatch):
     scans = _finite_scans(monkeypatch)
-    a, bias = rng.standard_normal((6, 4, 20)) * 20.0, rng.standard_normal((4, 20)) * 5.0
-    for out, x in ((eg.softmax(Tensor(a)), a), (eg.softmax(Tensor(a), Tensor(bias)), a + bias)):
-        e = np.exp(x)
-        npt.assert_allclose(out.data, e / e.sum(axis=-1, keepdims=True), rtol=1e-15, atol=0.0)
+    a = rng.standard_normal((6, 4, 20)) * 20.0
+    e = np.exp(a)
+    npt.assert_allclose(eg.softmax(Tensor(a)).data, e / e.sum(axis=-1, keepdims=True), rtol=1e-15, atol=0.0)
     assert "softmax" not in scans
 
 
@@ -99,41 +98,39 @@ def _scores(case, shape=(3, 4, 7)):
 @pytest.mark.parametrize("case", sorted(_OUT_OF_RANGE))
 def test_softmax_out_of_range_runs_the_shifted_formula_bit_for_bit(case, monkeypatch):
     scans = _finite_scans(monkeypatch)
-    a, bias = _scores(case), rng.standard_normal((4, 7))
+    a = _scores(case)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # the unshifted exponential overflows without a warning
-        plain, biased = eg.softmax(Tensor(a)), eg.softmax(Tensor(a), Tensor(bias))
-    npt.assert_array_equal(plain.data, _shifted_softmax(a))
-    npt.assert_array_equal(biased.data, _shifted_softmax(a + bias))
-    assert scans.count("softmax") == 2
+        out = eg.softmax(Tensor(a))
+    npt.assert_array_equal(out.data, _shifted_softmax(a))
+    assert scans.count("softmax") == 1
 
 
-def test_softmax_of_a_nan_bias_raises_naming_softmax():
+def test_a_nan_matmul_bias_raises_naming_matmul():
     bias = Parameter(np.zeros((4, 7)), "bias")
     bias.data[1, 2] = np.nan
-    with pytest.raises(NumericError, match="softmax"):
-        eg.softmax(Tensor(rng.standard_normal((3, 4, 7))), bias)
+    a = Tensor(rng.standard_normal((3, 4, 5)))
+    for b in (Tensor(rng.standard_normal((5, 7))), Tensor(rng.standard_normal((3, 5, 7)))):  # folded, batched
+        with pytest.raises(NumericError, match="matmul"):
+            eg.matmul(a, b, bias)
 
 
 @pytest.mark.parametrize("case", ["in range"] + sorted(_OUT_OF_RANGE))
 def test_grad_softmax_on_both_paths(case):
-    a, bias = Parameter(_scores(case), "a"), Parameter(rng.standard_normal((4, 7)), "bias")
-    r = rng.standard_normal((3, 4, 7))
+    a, r = Parameter(_scores(case), "a"), rng.standard_normal((3, 4, 7))
     check_grads(lambda: weighted_sum(eg.softmax(a), r), [a])
-    check_grads(lambda: weighted_sum(eg.softmax(a, bias), r), [a, bias])
 
 
 @pytest.mark.parametrize("case", ["in range"] + sorted(_OUT_OF_RANGE))
 def test_softmax_forward_holds_little_beyond_its_output(case):
-    a, bias = Tensor(_scores(case, (40, 50, 64))), Tensor(rng.standard_normal((50, 64)))
-    for operands in ((a,), (a, bias)):
-        tracemalloc.start()
-        try:
-            out = eg.softmax(*operands)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.1 * out.data.nbytes, (peak, out.data.nbytes)
+    a = Tensor(_scores(case, (40, 50, 64)))
+    tracemalloc.start()
+    try:
+        out = eg.softmax(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * out.data.nbytes, (peak, out.data.nbytes)
 
 
 def test_relu_values():
@@ -367,7 +364,7 @@ def test_grad_layer_norm():
 
 
 # ---------------------------------------------------------------------------
-# Fused operands: softmax(a, bias), matmul(x, w, bias), layer_norm in one buffer
+# Fused operands: matmul(x, w, bias), softmax and layer_norm in one buffer
 # ---------------------------------------------------------------------------
 
 FUSED_TOL = 1e-14
@@ -406,14 +403,16 @@ def assert_fused_matches_plain(fused, plain, operands, weights):
     ((2, 4, 6), (4, 6), "bias"),  # the bias is the only Parameter
 ])
 def test_softmax_with_a_bias_matches_softmax_of_the_sum(a_shape, bias_shape, trained):
-    a, bias = _operand(a_shape, "a", trained.split()), _operand(bias_shape, "bias", trained.split())
+    # the scores of attention: a batched product of a and a constant b, of shape a_shape
+    a = _operand(a_shape[:-1] + (3,), "a", trained.split())
+    b, bias = Tensor(rng.uniform(-1, 1, a_shape[:-2] + (3, a_shape[-1]))), _operand(bias_shape, "bias", trained.split())
 
     # interior operands scale their gradient in place, so one shared with the other would show
-    def operands():
-        return eg.scalar_mul(a, 2.0), eg.scalar_mul(bias, 3.0)
+    def softmax(fused):
+        x, c = eg.scalar_mul(a, 2.0), eg.scalar_mul(bias, 3.0)
+        return eg.softmax(eg.matmul(x, b, c) if fused else eg.add(eg.matmul(x, b), c))
 
-    assert_fused_matches_plain(lambda: eg.softmax(*operands()), lambda: eg.softmax(eg.add(*operands())),
-                               (a, bias), rng.standard_normal(a_shape))
+    assert_fused_matches_plain(lambda: softmax(True), lambda: softmax(False), (a, bias), rng.standard_normal(a_shape))
 
 
 @pytest.mark.parametrize("x_shape, trained", [
@@ -428,6 +427,27 @@ def test_matmul_with_a_bias_matches_the_product_plus_the_bias(x_shape, trained):
                for shape, name in ((x_shape, "x"), ((4, 3), "w"), ((3,), "b")))
     assert_fused_matches_plain(lambda: eg.matmul(x, w, b), lambda: eg.add(eg.matmul(x, w), b),
                                (x, w, b), rng.standard_normal(x_shape[:-1] + (3,)))
+
+
+@pytest.mark.parametrize("x_shape, w_shape, bias_shape, strided", [
+    ((2, 3, 4), (4, 3), (2, 3, 3), False),  # a full-size bias on the folded path
+    ((2, 3, 4), (4, 3), (2, 3, 3), True),  # the same as a transposed view
+    ((2, 5, 5, 4), (4, 3), (5, 5, 1), False),  # M_0 (V, V, 1) onto CAGC's (B, V, V, C_out) correlation
+    ((2, 3, 4, 5, 2), (2, 3, 4, 2, 5), (4, 5, 5), False),  # (H, L, L) onto (B, n, H, L, L) scores
+    ((2, 3, 4), (2, 4, 3), (2, 3, 3), True),  # a full-size strided bias on the batched path
+])
+def test_matmul_adds_any_bias_that_broadcasts_onto_the_product(x_shape, w_shape, bias_shape, strided):
+    x, w = Parameter(rng.uniform(-1, 1, x_shape), "x"), Parameter(rng.uniform(-1, 1, w_shape), "w")
+    bias = Parameter(rng.uniform(-1, 1, bias_shape[::-1] if strided else bias_shape), "bias")
+
+    def product(fused):  # of interior operands, the bias a transposed view when strided
+        x2, c = eg.scalar_mul(x, 2.0), eg.scalar_mul(bias, 3.0)
+        if strided:
+            c = eg.transpose(c, tuple(range(c.ndim))[::-1])
+        return eg.matmul(x2, w, c) if fused else eg.add(eg.matmul(x2, w), c)
+
+    assert_fused_matches_plain(lambda: product(True), lambda: product(False), (x, w, bias),
+                               rng.standard_normal(np.matmul(x.data, w.data).shape))
 
 
 @pytest.mark.parametrize("affine", ["", "gamma", "beta", "gamma beta"])
@@ -707,15 +727,16 @@ def test_shape_errors_name_the_primitive():
         with pytest.raises(ShapeError, match="cross_entropy: index must hold integers"):
             eg.cross_entropy(Tensor(np.zeros((np.size(labels), 3))), labels)
     assert eg.take(x, [], axis=1).shape == (2, 0, 4)
-    # a softmax bias must broadcast onto the scores without enlarging them
+    assert eg.softmax(Tensor(np.ones((0, 3)))).shape == (0, 3)  # no rows to normalize
+    # a matmul bias must broadcast onto the product without enlarging it, on both paths,
+    # and leading axes must broadcast: (2, 3) @ (3, 4) is (2, 4), (2, 3) @ (2, 3, 4) is (2, 2, 4)
     scores = Tensor(np.ones((2, 3)))
-    for shape in ((2, 2, 3), (4,), (2, 1, 1)):
-        with pytest.raises(ShapeError, match="softmax"):
-            eg.softmax(scores, Tensor(np.ones(shape)))
-    # a matmul bias is (C_out,), and only with a 2-D right operand
-    for w_shape, b_shape in (((3, 4), (3,)), ((3, 4), (1, 4)), ((3, 4), ()), ((2, 3, 4), (4,))):
+    for w_shape, b_shape in (((3, 4), (3,)), ((3, 4), (2, 2, 4)), ((3, 4), (2, 1, 1)),
+                             ((2, 3, 4), (3, 2, 4)), ((2, 3, 4), (1, 2, 2, 4)), ((2, 3, 4), (2, 2, 5))):
         with pytest.raises(ShapeError, match="matmul"):
             eg.matmul(scores, Tensor(np.ones(w_shape)), Tensor(np.ones(b_shape)))
+    with pytest.raises(ShapeError, match="matmul"):
+        eg.matmul(Tensor(np.ones((2, 2, 3))), Tensor(np.ones((3, 3, 4))))
     # a reduction needs a non-empty axis: no NumPy error or warning
     empty = [(op, (Tensor(np.ones(shape)),)) for op in (eg.softmax, eg.layer_norm)
              for shape in ((2, 0), (0,), ())]
@@ -1007,13 +1028,14 @@ def test_tape_keeps_only_what_backward_reads():
     for p in (q, k, bias):
         assert eg.relative_error(p.grad, eg.finite_difference_grad(f, p)) <= GRAD_TOL
 
-    # the fused forms: softmax(scores, bias) keeps only its output ...
-    scores = q @ k
-    probs = eg.softmax(scores, bias)
+    # the fused forms: softmax(matmul(q, k, bias)) keeps q, k and its output, and no bias ...
+    b = eg.scalar_mul(bias, 1.0)  # an interior bias
+    scores = eg.matmul(q, k, b)
+    probs = eg.softmax(scores)
     out = weighted_sum(probs, r)
-    scores_ref, probs_ref = weakref.ref(scores.data), weakref.ref(probs.data)
-    del scores, probs
-    assert scores_ref() is None and probs_ref() is not None
+    b_ref, scores_ref, probs_ref = weakref.ref(b.data), weakref.ref(scores.data), weakref.ref(probs.data)
+    del b, scores, probs
+    assert b_ref() is None and scores_ref() is None and probs_ref() is not None
     out.backward()
     assert probs_ref() is None
     # ... and matmul(x, w, b) keeps x only when w needs a gradient, and nothing of b

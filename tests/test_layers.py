@@ -425,24 +425,33 @@ def count_primitive_calls(monkeypatch, record):
             monkeypatch.setattr(eg, name, counted)
 
 
-def test_a_toy5_loss_makes_208_primitive_calls_and_no_add_in_attention(monkeypatch):
-    # the biases ride in matmul and softmax: 18 calls fewer than with an add per bias
+def test_a_toy5_loss_makes_200_primitive_calls_and_no_add_in_cagc_or_attention(monkeypatch):
+    # every bias rides in a matmul: 26 calls fewer than with an add per bias
     model = layers.DDGCNModel(reduced_config(), seed=0)
-    calls, in_attention = collections.Counter(), []
-    count_primitive_calls(monkeypatch, lambda name, args: calls.update([(name, bool(in_attention))]))
-    attention = layers.STSE.attention
-
-    def spied(self, tokens):
-        in_attention.append(self)
-        try:
-            return attention(self, tokens)
-        finally:
-            in_attention.pop()
-    monkeypatch.setattr(layers.STSE, "attention", spied)
+    calls, inside = collections.Counter(), []
+    count_primitive_calls(monkeypatch, lambda name, args: calls.update([(name, inside[-1] if inside else "")]))
+    for block, method in ((layers.CAGC, "forward"), (layers.STSE, "attention")):
+        def spied(self, *args, _fn=getattr(block, method), _block=block.__name__):
+            inside.append(_block)
+            try:
+                return _fn(self, *args)
+            finally:
+                inside.pop()
+        monkeypatch.setattr(block, method, spied)
     x = np.random.default_rng(1).uniform(-1, 1, (64, 16, 5, 3))
     eg.cross_entropy(model.logits(x), np.arange(64) % 4)  # one step's forward, as engine.calls counts it
-    assert sum(calls.values()) == 208, calls
-    assert calls["softmax", True] == len(model.layers) and calls["add", True] == 0
+    assert sum(calls.values()) == 200, calls
+    assert calls["softmax", "STSE"] == len(model.layers)
+    assert calls["add", "STSE"] == calls["add", "CAGC"] == 0
+
+
+def test_an_ntu25_clip_makes_496_primitive_calls(monkeypatch):
+    # the default paper-shape model, so a change to its forward's op count shows here
+    model = layers.DDGCNModel(layers.ModelConfig(graph.get_topology("ntu25"), num_classes=60), seed=0)
+    calls = collections.Counter()
+    count_primitive_calls(monkeypatch, lambda name, args: calls.update([name]))
+    model.predict_proba(np.random.default_rng(1).uniform(-1, 1, (64, 25, 3)))
+    assert sum(calls.values()) == 496, calls
 
 
 def test_scalar_factors_scale_weights_not_activations(monkeypatch):
