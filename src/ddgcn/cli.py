@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import re
 import sys
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
@@ -91,14 +92,18 @@ def _build(cls, parent: dict, where: str, given: dict, **defaults):
     return cls(**values)
 
 
+_NON_FINITE = re.compile(r"[+-]?(nan|inf|infinity)", re.IGNORECASE)
+
+
 def _parse_override(text: str) -> tuple[list[str], object]:
     if "=" not in text:
         raise ConfigError(f"override {text!r} must look like key=value")
     key, raw = text.split("=", 1)
     try:
         value = json.loads(raw)
-    except json.JSONDecodeError:
-        value = raw
+    except ValueError:  # not JSON, or an integer past Python's 4300-digit limit
+        # bare text is a string, but for nan and inf, which JSON spells NaN and Infinity
+        value = float(raw) if _NON_FINITE.fullmatch(raw.strip()) else raw
     return key.split("."), value
 
 

@@ -115,7 +115,8 @@ def load_dataset(path: str | Path, expected_joints: int | None = None) -> list[S
                     f"joints={joints}, channels={channels}")
             if expected_joints is not None and joints != expected_joints:
                 raise DataError(
-                    f"sample {sample_id!r} has {joints} joints, run topology expects {expected_joints}")
+                    f"{path}:{lineno}: sample {sample_id!r} has {joints} joints, "
+                    f"run topology expects {expected_joints}")
             if label < 0:
                 raise DataError(f"{path}:{lineno}: negative label")
             samples.append(SkeletonSample(frames=frames, label=label, sample_id=sample_id))

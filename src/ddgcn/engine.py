@@ -33,8 +33,9 @@ at the first arithmetic op that reads it. A Parameter's array is fixed for
 its life: the constructor copies any value that is not an owned,
 writeable, C-contiguous, native float64 array, ``p.data = x`` copies into
 it (another shape is a :class:`ShapeError`), and restores and Adam write in
-place; only :func:`flatten_parameters` replaces it, by a view of the same
-values in one flat buffer. The view and selection ops
+place; only :func:`flatten_parameters` replaces it, by a view of one flat
+buffer, and gives the gradient a view of a second, which :func:`zero_grads`
+zeroes in place and every backward adds into. The view and selection ops
 (``reshape``, ``transpose``, ``take``, ``gather``) pass their operand's
 bound on and never scan. ``softmax``'s bound is 1 (see its docstring).
 
@@ -46,13 +47,9 @@ before ``softmax`` and a term summed into a product need no ``add`` and its
 activation-sized output. ``softmax`` and ``layer_norm`` work in one buffer
 and take their row sums with ``einsum``, without a product temporary.
 
-Every op allocates fresh activation-sized arrays, and a step frees most of
-them again. Under glibc, importing this module sets the allocator to keep
-that memory in the process (see ``_keep_freed_memory``): arrays up to
-32 MiB come from the heap, and the heap top is not handed back to the
-kernel, so the next op reuses the pages instead of faulting them in anew.
-Arrays above 32 MiB are still mapped and unmapped one by one. No value
-changes.
+Every op allocates fresh activation-sized arrays. Under glibc, importing
+this module keeps freed arrays below 32 MiB in the process
+(``_keep_freed_memory``), so the next op reuses their pages; no value changes.
 
 A central finite-difference oracle (:func:`finite_difference_grad`) is
 provided for checking the recorded adjoints.
@@ -291,7 +288,8 @@ class Parameter(Tensor):
 
     ``grad`` is ``None`` until a ``backward()`` reaches the parameter, which
     then keeps the array it is handed, or until :func:`zero_grads` gives it
-    zeros; later backwards add into that array in place.
+    zeros or :func:`flatten_parameters` a view of a flat buffer; later
+    backwards add into that array in place, and ``zero_grads`` zeroes it.
 
     Its array is fixed for its life (see the module docstring): ``p.data =
     x`` copies ``x`` into it, and only :func:`flatten_parameters` replaces it.
@@ -809,12 +807,9 @@ def cross_entropy(logits, labels) -> Tensor:
     ``logits`` is (K,) or (B, K); ``labels`` an int or a length-B sequence.
     """
     logits = _lift(logits)
-    if logits.ndim == 1:
-        z = logits.data[None, :]
-    elif logits.ndim == 2:
-        z = logits.data
-    else:
+    if logits.ndim not in (1, 2):
         raise ShapeError(f"cross_entropy: logits must be 1-D or 2-D, got {logits.data.shape}")
+    z = np.atleast_2d(logits.data)
     y = np.atleast_1d(_index(labels, "cross_entropy"))
     n, k = z.shape
     if n == 0:
@@ -839,22 +834,33 @@ def cross_entropy(logits, labels) -> Tensor:
 
 
 def zero_grads(params: Iterable[Parameter]) -> None:
-    """Give each parameter a fresh zero gradient, whether it had one or held
-    ``None``; the next ``backward()`` adds into it."""
+    """Zero each parameter's gradient in place, so a gradient bound by
+    :func:`flatten_parameters` stays a view of its buffer; one that holds
+    ``None`` gets a zero array. The next ``backward()`` adds into it."""
     for p in params:
-        p.grad = np.zeros_like(p.data)
+        if p.grad is None:
+            p.grad = np.zeros_like(p.data)
+        else:
+            p.grad.fill(0.0)
 
 
-def flatten_parameters(params: Sequence[Parameter]) -> np.ndarray:
+def flatten_parameters(params: Sequence[Parameter]) -> tuple[np.ndarray, np.ndarray]:
     """Move ``params`` into one new flat buffer in the given order (in
-    ``parameters()`` order, the checkpoint layout) and return it; each
-    Parameter's array becomes the view of its block."""
-    flat = np.concatenate([p.data for p in params], axis=None)
+    ``parameters()`` order, the checkpoint layout) and their gradients into
+    a second, of zeros but for any gradient a Parameter held, and return
+    both; each Parameter's array and gradient become views of their blocks."""
+    data = np.concatenate([p.data for p in params], axis=None)
+    grad = np.zeros_like(data)
     offset = 0
     for p in params:
-        p._array = flat[offset:offset + p.data.size].reshape(p.data.shape)
-        offset += p.data.size
-    return flat
+        end = offset + p.data.size
+        view = grad[offset:end].reshape(p.data.shape)
+        if p.grad is not None:
+            view[...] = p.grad
+        p._array = data[offset:end].reshape(p.data.shape)
+        p.grad = view
+        offset = end
+    return data, grad
 
 
 # ---------------------------------------------------------------------------
@@ -904,14 +910,9 @@ def grad_check(f: Callable[[], Tensor], params: Sequence[Parameter], h: float = 
     """
     params = list(params)
     zero_grads(params)
-    out = f()
-    out.backward()
+    f().backward()
     analytic = {p.name: p.grad.copy() for p in params}
-    errors = {}
-    for p in params:
-        numeric = finite_difference_grad(f, p, h)
-        errors[p.name] = relative_error(analytic[p.name], numeric)
-    return errors
+    return {p.name: relative_error(analytic[p.name], finite_difference_grad(f, p, h)) for p in params}
 
 
 # ---------------------------------------------------------------------------
@@ -930,8 +931,7 @@ def save_checkpoint(params: Iterable[Parameter], path, config: dict | None = Non
     names = [p.name for p in params]
     if len(set(names)) != len(names):
         raise ValueError("parameter names must be unique for checkpointing")
-    entries = []
-    offset = 0
+    entries, offset = [], 0
     for p in params:
         entries.append({"name": p.name, "shape": list(p.data.shape), "offset": offset})
         offset += int(p.data.size)

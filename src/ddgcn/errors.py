@@ -22,8 +22,14 @@ class NumericError(ArithmeticError):
 
 
 def read_number(kind, value):
-    """``value`` as a ``kind`` (int or float): a bool is no number, and an
-    int is whole. Anything else is a ValueError for the caller to wrap."""
-    if isinstance(value, bool) or (kind is int and isinstance(value, float) and not value.is_integer()):
+    """``value`` as a ``kind`` (int or float). Only an int or a float is a
+    number, never a bool or a string, and an int is whole. Anything else,
+    an int too large for a float included, is a ValueError for the caller
+    to wrap."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or (kind is int and isinstance(value, float) and not value.is_integer())):
         raise ValueError(f"{value!r} is not a whole number" if kind is int else f"{value!r} is not a number")
-    return kind(value)
+    try:
+        return kind(value)
+    except OverflowError:  # only float() of a huge int
+        raise ValueError(f"an integer of {value.bit_length()} bits is too large for a float") from None

@@ -10,7 +10,7 @@ import numpy as np
 
 from . import engine as eg
 from .data import SkeletonSample
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError
 from .layers import DDGCNModel, bone_transform, fuse_scores
 
 
@@ -48,50 +48,47 @@ def lr_at(epoch: int, config: TrainConfig) -> float:
 
 class Adam:
     """Standard Adam with bias correction. The constructor moves the
-    parameters into one flat buffer, ``data`` (``engine.flatten_parameters``),
-    and ``m``, ``v`` and each step's gathered ``grad`` are flat in its layout,
-    so a step is a few in-place vector ops, rounded as the textbook formula."""
+    parameters and their gradients into two flat buffers, ``data`` and
+    ``grad`` (``engine.flatten_parameters``), and ``m`` and ``v`` are flat in
+    the same layout. Each ``p.grad`` is then a view of ``grad``, so a
+    backward after ``engine.zero_grads`` accumulates there with no gather,
+    and a step is a few vector ops rounded as the textbook formula."""
 
     def __init__(self, params: list[eg.Parameter], config: TrainConfig):
         self.params = params
-        self.beta1 = config.beta1
-        self.beta2 = config.beta2
-        self.eps = config.eps
+        self.beta1, self.beta2, self.eps = config.beta1, config.beta2, config.eps
         self.step_count = 0
-        self.data = eg.flatten_parameters(params)
+        self.data, self.grad = eg.flatten_parameters(params)
+        self._views = [p.grad for p in params]
         self.m = np.zeros_like(self.data)
         self.v = np.zeros_like(self.data)
-        self.grad = np.empty_like(self.data)
 
     def step(self, lr: float) -> None:
-        """One update from each parameter's ``grad``. Every gradient is
-        checked before any slot or parameter moves, so a refused step
-        changes nothing."""
-        for p in self.params:
-            if p.grad is None:
-                raise RuntimeError(f"Adam.step: parameter {p.name!r} has no gradient; "
-                                   "run zero_grads and backward() first")
-            if p.grad.shape != p.data.shape:
-                raise ShapeError(f"gradient shape mismatch for {p.name}")
+        """One update from ``grad``, which it leaves as it is. Each ``p.grad``
+        must still be the view the constructor bound; one set to ``None`` or
+        replaced is refused before any slot or parameter moves."""
+        for p, view in zip(self.params, self._views):
+            if p.grad is not view:
+                raise RuntimeError(f"Adam.step: the gradient of parameter {p.name!r} is no longer its "
+                                   "view of Adam.grad; write into p.grad[...] instead of replacing it")
         self.step_count += 1
-        t = self.step_count
-        m, v, g = self.m, self.v, self.grad
-        np.concatenate([p.grad for p in self.params], axis=None, out=g)
+        t, m, v, g = self.step_count, self.m, self.v, self.grad
+        # m = beta1 * m + (1 - beta1) * g and v = beta2 * v + (1 - beta2) * g * g
         v *= self.beta2
-        step = (1.0 - self.beta2) * g
-        step *= g
-        v += step
+        a = (1.0 - self.beta2) * g
+        a *= g
+        v += a
         m *= self.beta1
-        g *= 1.0 - self.beta1
-        m += g
-        # data -= lr * m_hat / (sqrt(v_hat) + eps), computed in g and step
-        np.divide(v, 1.0 - self.beta2 ** t, out=step)
-        np.sqrt(step, out=step)
-        step += self.eps
-        np.divide(m, 1.0 - self.beta1 ** t, out=g)
-        g *= lr
-        g /= step
-        self.data -= g
+        np.multiply(1.0 - self.beta1, g, out=a)
+        m += a
+        # data -= lr * m_hat / (sqrt(v_hat) + eps), computed in a and b
+        np.divide(v, 1.0 - self.beta2 ** t, out=a)
+        np.sqrt(a, out=a)
+        a += self.eps
+        b = np.divide(m, 1.0 - self.beta1 ** t)
+        b *= lr
+        b /= a
+        self.data -= b
 
 
 @dataclass(frozen=True)
@@ -128,8 +125,9 @@ def train(model: DDGCNModel, dataset: list[SkeletonSample], config: TrainConfig,
     runs in micro-batches of ``micro_batch_size`` samples, so a step's peak
     memory follows that size, not the batch size. No op mixes samples, so
     scaling each micro-batch's mean loss by its share n/B of the batch
-    before ``backward()`` accumulates the whole batch's gradient in the
-    Parameters; Adam then steps once. The history holds one row per epoch
+    before ``backward()`` accumulates the whole batch's gradient in Adam's
+    flat ``grad`` buffer, which ``engine.zero_grads`` clears in place before
+    each batch; Adam then steps once. The history holds one row per epoch
     with the mean sample loss and the training accuracy measured on the
     same forward passes.
     """

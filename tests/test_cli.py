@@ -188,11 +188,21 @@ def test_label_out_of_range_is_data_error(tmp_path, capsys):
 @pytest.mark.parametrize("key, value, message", [
     ("label", 0.7, "0.7 is not a whole number"), ("label", True, "True is not a whole number"),
     ("joints", 5.5, "5.5 is not a whole number"), ("channels", True, "True is not a whole number"),
+    ("label", "1", "'1' is not a whole number"), ("joints", "5", "'5' is not a whole number"),
 ])
 def test_fractional_or_boolean_sample_field_is_data_error(tmp_path, capsys, key, value, message):
     config = file_config(tmp_path, [clip("ok"), {**clip("odd"), key: value}])
     assert cli.main(["train", "--config", config]) == cli.EXIT_DATA
     assert f"ds.jsonl:2: malformed sample: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, message", [
+    ("label", "label 1000"), ("joints", "does not match joints=1000"), ("channels", "channels=1000"),
+])
+def test_an_oversized_integer_sample_field_is_data_error(tmp_path, capsys, key, message):
+    config = file_config(tmp_path, [clip("ok"), {**clip("odd"), key: 10 ** 400}])
+    assert cli.main(["train", "--config", config]) == cli.EXIT_DATA
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("value, message", [
@@ -251,7 +261,9 @@ def test_set_overrides(tmp_path, capsys):
 @pytest.mark.parametrize("override", [
     "train.epochs=abc", "model.heads=abc", 'train.base_lr="x"', "model.channels=4",
     "data.synthetic.frames=abc", "train.epochs=1.5", "seed=1.7", "model.heads=true",
-    "train.base_lr=true",
+    "train.base_lr=true", 'train.epochs="1"', 'train.base_lr="0.1"', "train.base_lr=+-nan",
+    pytest.param("train.base_lr=1" + "0" * 400, id="train.base_lr=10**400"),
+    pytest.param("train.base_lr=" + "1" * 5000, id="train.base_lr-5000-digits"),
 ])
 def test_malformed_value_is_config_error(tmp_path, capsys, override):
     config = write_config(tmp_path, base_config(tmp_path))
@@ -284,6 +296,12 @@ def test_unusable_value_is_config_error(tmp_path, capsys, override, key):
     ('topology={"num_joints": 2.7, "root": 0, "edges": [[0, 1]]}', "2.7 is not a whole number"),
     ('topology={"num_joints": 2, "root": true, "edges": [[0, 1]]}', "True is not a whole number"),
     ('topology={"num_joints": 2, "root": 0, "edges": [[0, 1.5]]}', "1.5 is not a whole number"),
+    ('topology={"num_joints": "2", "root": 0, "edges": [[0, 1]]}', "'2' is not a whole number"),
+    ('topology={"num_joints": 2, "root": 0, "edges": [[0, "1"]]}', "'1' is not a whole number"),
+    pytest.param('topology={"num_joints": 2, "root": %d, "edges": [[0, 1]]}' % 10 ** 400,
+                 "root joint 1000", id="topology-root=10**400"),
+    pytest.param('topology={"num_joints": 2, "root": 0, "edges": [[0, %d]]}' % 10 ** 400,
+                 "references an invalid joint id", id="topology-edge=10**400"),
     ('topology={"num_joints": 2, "root": 0, "edges": [[0, 1]], "names": "ab"}',
      "names must be a list of strings"),
     ("output_dir=config.json", "config.json is not a directory"),

@@ -51,7 +51,7 @@ def test_load_rejects_joint_mismatch_by_id(tmp_path):
     path = tmp_path / "bad.jsonl"
     write_lines(path, [sample_doc(sample_id="odd-one", joints=24,
                                   frames=[[[0.0] * 3] * 24] * 2)])
-    with pytest.raises(DataError, match="odd-one"):
+    with pytest.raises(DataError, match=r"bad\.jsonl:1: sample 'odd-one' has 24 joints, run topology expects 25"):
         data.load_dataset(path, expected_joints=25)
 
 

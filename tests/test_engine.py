@@ -487,7 +487,7 @@ def test_layer_norm_takes_constant_arrays_as_gamma_and_beta():
             out = eg.layer_norm(x, *affine)
             weighted_sum(out, r).backward()
             outs.append(out.data)
-            grads.append(x.grad)
+            grads.append(x.grad.copy())  # zero_grads clears x.grad in place
         npt.assert_array_equal(outs[0], outs[1])
         npt.assert_array_equal(grads[0], grads[1])
 

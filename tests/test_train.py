@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -6,7 +7,7 @@ import pytest
 
 from ddgcn import data, engine as eg, graph, layers, train
 from ddgcn.engine import Parameter
-from ddgcn.errors import ConfigError, NumericError, ShapeError
+from ddgcn.errors import ConfigError, NumericError
 from ddgcn.windows import WindowSpec
 
 
@@ -59,18 +60,15 @@ def test_adam_zero_gradient_is_noop():
     assert opt.step_count == 1
 
 
-@pytest.mark.parametrize("q_grad, error, message", [
-    (None, RuntimeError, r"'q' has no gradient; run zero_grads and backward\(\) first"),
-    (np.zeros(2), ShapeError, "gradient shape mismatch for q"),
-])
-def test_adam_refuses_a_bad_gradient_before_moving_anything(q_grad, error, message):
+@pytest.mark.parametrize("q_grad", [None, np.zeros(1)], ids=["none", "replaced"])
+def test_adam_refuses_a_bad_gradient_before_moving_anything(q_grad):
     p = Parameter(np.array([1.0, -2.0]), "p")
     q = Parameter(np.array([0.5]), "q")
     opt = train.Adam([p, q], train.TrainConfig())
     eg.mean_pool(eg.mul(p, p), axis=0).backward()  # reaches p only
-    assert p.grad is not None and q.grad is None
+    npt.assert_array_equal(opt.grad, [1.0, -2.0, 0.0])
     q.grad = q_grad
-    with pytest.raises(error, match=message):
+    with pytest.raises(RuntimeError, match=r"gradient of parameter 'q' is no longer its view of Adam\.grad"):
         opt.step(lr=0.1)
     assert opt.step_count == 0
     for slot in (opt.m, opt.v):
@@ -78,6 +76,20 @@ def test_adam_refuses_a_bad_gradient_before_moving_anything(q_grad, error, messa
         npt.assert_array_equal(slot, 0.0)
     npt.assert_array_equal(p.data, [1.0, -2.0])
     npt.assert_array_equal(q.data, [0.5])
+
+
+def test_adam_binds_each_gradient_to_its_block_and_leaves_it_after_a_step():
+    p = Parameter(np.array([1.0, -2.0]), "p")
+    q = Parameter(np.array([[0.5], [0.25]]), "q")
+    q.grad = np.array([[3.0], [4.0]])  # a gradient held before Adam moves into its block
+    opt = train.Adam([p, q], train.TrainConfig())
+    npt.assert_array_equal(opt.grad, [0.0, 0.0, 3.0, 4.0])
+    assert p.grad.base is opt.grad and q.grad.base is opt.grad and q.grad.shape == (2, 1)
+    p.grad[...] = [1.0, -1.0]
+    before = opt.grad.copy()
+    opt.step(lr=0.1)
+    assert opt.grad.tobytes() == before.tobytes()
+    assert not np.array_equal(opt.data, [1.0, -2.0, 0.5, 0.25])
 
 
 def test_adam_keeps_the_parameters_in_one_flat_buffer_in_checkpoint_order(tmp_path):
@@ -88,7 +100,7 @@ def test_adam_keeps_the_parameters_in_one_flat_buffer_in_checkpoint_order(tmp_pa
     offsets = [entry["offset"] for entry in json.loads(path.read_bytes().split(b"\n")[0])["params"]]
     opt = train.Adam(params, train.TrainConfig())
     for p in params:
-        p.grad = np.full(p.data.shape, 0.5)
+        p.grad[...] = 0.5
     opt.step(lr=0.1)
     assert opt.data.shape == opt.m.shape == opt.v.shape == (11,)
     start = opt.data.__array_interface__["data"][0]
@@ -106,7 +118,7 @@ def test_adam_first_step_hand_computed():
     config = train.TrainConfig()
     p = Parameter(np.array(0.0), "w")
     opt = train.Adam([p], config)
-    p.grad = np.asarray(1.0)
+    p.grad[...] = 1.0
     opt.step(lr=0.1)
     # m_hat = 1, v_hat = 1 after bias correction at t = 1
     expected = -0.1 * 1.0 / (np.sqrt(1.0) + config.eps)
@@ -119,7 +131,7 @@ def test_adam_repeated_gradient_moves_monotonically():
     opt = train.Adam([p], train.TrainConfig())
     previous = 0.0
     for _ in range(5):
-        p.grad = np.asarray(2.5)
+        p.grad[...] = 2.5
         opt.step(lr=0.05)
         assert p.data < previous
         previous = float(p.data)
@@ -285,23 +297,57 @@ def test_micro_batched_training_writes_byte_identical_files(tmp_path, monkeypatc
     assert files[0] == files[1]
 
 
-def test_a_training_step_leaves_every_parameter_a_view_into_one_buffer(monkeypatch):
-    model, optimizers = toy5_acceptance_model(), []
-    adam = train.Adam
+def trained_optimizer(monkeypatch, model, dataset, config):
+    """The Adam that ``train.train(model, dataset, config)`` builds, after it returns."""
+    optimizers, adam = [], train.Adam
 
     def record(params, config):
         optimizers.append(adam(params, config))
         return optimizers[-1]
 
     monkeypatch.setattr(train, "Adam", record)
-    train.train(model, toy5_batch(8), train.TrainConfig(epochs=1, batch_size=8))
+    train.train(model, dataset, config)
+    monkeypatch.undo()
     (opt,) = optimizers
-    params, offset, start = model.parameters(), 0, opt.data.__array_interface__["data"][0]
+    return opt
+
+
+def test_a_training_step_leaves_every_parameter_a_view_into_one_buffer(monkeypatch):
+    model, dataset, config = toy5_acceptance_model(), toy5_batch(8), train.TrainConfig(epochs=1, batch_size=8)
+    opt = trained_optimizer(monkeypatch, model, dataset, config)
+    params, offset = model.parameters(), 0
+    data_start, grad_start = (a.__array_interface__["data"][0] for a in (opt.data, opt.grad))
     assert opt.step_count == 1 and opt.params == params
     for p in params:  # in parameters() order, the checkpoint layout
-        assert p.data.base is opt.data and p.data.__array_interface__["data"][0] == start + 8 * offset
+        assert p.data.base is opt.data and p.data.__array_interface__["data"][0] == data_start + 8 * offset
+        assert p.grad.base is opt.grad and p.grad.__array_interface__["data"][0] == grad_start + 8 * offset
+        assert p.grad.shape == p.data.shape
         offset += p.data.size
-    assert opt.data.shape == opt.m.shape == opt.v.shape == (offset,)
+    assert opt.data.shape == opt.grad.shape == opt.m.shape == opt.v.shape == (offset,)
+    # the step's gradient is, bit for bit, a fresh per-parameter backward of the same batch
+    fresh = toy5_acceptance_model()
+    eg.zero_grads(fresh.parameters())
+    frames, labels = train._stack_batch([dataset[i] for i in np.random.default_rng(config.seed).permutation(8)])
+    (eg.cross_entropy(fresh.logits(frames), labels) * (len(labels) / 8)).backward()
+    assert all(p.grad.base is None for p in fresh.parameters())
+    assert np.concatenate([p.grad for p in fresh.parameters()], axis=None).tobytes() == opt.grad.tobytes()
+
+
+def test_zero_grads_keeps_each_bound_gradient_and_allocates_nothing(monkeypatch):
+    model = toy5_acceptance_model()
+    opt = trained_optimizer(monkeypatch, model, toy5_batch(8), train.TrainConfig(epochs=1, batch_size=8))
+    params = model.parameters()
+    views = [p.grad for p in params]
+    assert np.abs(opt.grad).max() > 0.0
+    tracemalloc.start()
+    try:
+        eg.zero_grads(params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1024
+    assert all(p.grad is view for p, view in zip(params, views))
+    npt.assert_array_equal(opt.grad, 0.0)
 
 
 @pytest.mark.parametrize("block, name, op", [("stse", "bias_tables", "matmul"), ("cagc", "weight", "matmul")])
