@@ -19,6 +19,8 @@ from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 from typing import get_type_hints
 
+import numpy as np
+
 from . import checks, data as data_mod, graph, train as train_mod
 from .errors import ConfigError, DataError, NumericError, ShapeError, read_number
 from .layers import DDGCNModel, ModelConfig, bone_transform
@@ -208,7 +210,6 @@ def _train_one(config: RunConfig, stream: str, samples, model_seed: int):
     model = DDGCNModel(config.model, seed=model_seed)
     stream_samples = _to_stream(samples, stream, config.model.topology)
     history = train_mod.train(model, stream_samples, config.train)
-    config.output_dir.mkdir(parents=True, exist_ok=True)
     history_path = config.output_dir / f"history_{stream}.csv"
     ckpt_path = config.output_dir / f"model_{stream}.ckpt"
     train_mod.write_history_csv(history, history_path)
@@ -222,11 +223,16 @@ def _train_one(config: RunConfig, stream: str, samples, model_seed: int):
 
 def cmd_train(args) -> int:
     config = load_run_config(args.config, args.set)
-    # outputs are written after training, so a directory that cannot be made fails first
+    # outputs are written after training, so a directory that cannot be made fails first:
+    # an ancestor that is a file before any data loads, any other reason before training
     existing = next(p for p in (config.output_dir, *config.output_dir.parents) if p.exists())
     if not existing.is_dir():
         raise ConfigError(f"output_dir {config.output_dir} cannot be made: {existing} is not a directory")
     samples = _load_samples(config)
+    try:
+        config.output_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"output_dir {config.output_dir} cannot be made: {exc}") from exc
     if config.stream == "fusion":
         model_joint = _train_one(config, "joint", samples, config.seed)
         model_bone = _train_one(config, "bone", samples, config.seed + 1)
@@ -390,7 +396,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # an overflow is reported by the engine's finiteness check as a NumericError
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

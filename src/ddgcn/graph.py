@@ -257,7 +257,7 @@ def topology_from_dict(doc: dict) -> SkeletonTopology:
         names = doc.get("names")
         if names is not None and not (isinstance(names, list) and all(isinstance(n, str) for n in names)):
             raise ValueError(f"names must be a list of strings, got {names!r}")
-        names = tuple(names) if names else None
+        names = None if names is None else tuple(names)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed topology document: {exc}") from exc
     return SkeletonTopology(num_joints, edges, root=root, names=names)

@@ -99,22 +99,37 @@ class HistoryRow:
     accuracy: float
 
 
-def _stack_batch(samples: list[SkeletonSample]) -> tuple[np.ndarray, np.ndarray]:
-    frames = np.stack([s.frames for s in samples])
-    labels = np.asarray([s.label for s in samples], dtype=np.int64)
-    return frames, labels
-
-
-# The most frames x joints one micro-batch holds. A step's tape grows with
-# the samples it holds; this bound makes the toy5 acceptance batch (80 per
-# sample) two micro-batches of 32 and an ntu25 clip (1600) its own micro-batch.
-# See the micro-batch entry of CHANGES.md for the sweep that chose it.
+# The most frames x joints one micro-batch holds, in training and in scoring: a
+# forward's memory grows with the samples it holds. toy5 (80 a sample) runs in
+# slices of 32, an ntu25 clip (1600) alone; CHANGES.md has the sweep that chose it.
 MICRO_BATCH_TOKENS = 2560
 
 
 def micro_batch_size(frames: int, joints: int) -> int:
     """The largest m >= 1 with m * frames * joints <= MICRO_BATCH_TOKENS."""
     return max(1, MICRO_BATCH_TOKENS // (frames * joints))
+
+
+def _slicer(dataset: list[SkeletonSample], task: str):
+    """Check that ``dataset`` is non-empty and of one (T, V, C) shape, and
+    return a function from a sequence of indices into it to that sequence's
+    stacked ``(frames, labels)`` slices of ``micro_batch_size(T, V)`` samples."""
+    if not dataset:
+        raise ConfigError(f"{task} requires a non-empty dataset")
+    lengths = {s.frames.shape[0] for s in dataset}
+    if len(lengths) != 1:
+        raise ConfigError(f"all samples must share one temporal length, got {sorted(lengths)}")
+    joints_channels = {s.frames.shape[1:] for s in dataset}
+    if len(joints_channels) != 1:
+        raise ConfigError(f"all samples must share one joint and channel count, got (V, C) of "
+                          f"{sorted(joints_channels)}")
+    micro = micro_batch_size(*dataset[0].frames.shape[:2])
+
+    def slices(indices):
+        for start in range(0, len(indices), micro):
+            part = [dataset[i] for i in indices[start:start + micro]]
+            yield np.stack([s.frames for s in part]), np.asarray([s.label for s in part], dtype=np.int64)
+    return slices
 
 
 def train(model: DDGCNModel, dataset: list[SkeletonSample], config: TrainConfig,
@@ -131,19 +146,10 @@ def train(model: DDGCNModel, dataset: list[SkeletonSample], config: TrainConfig,
     with the mean sample loss and the training accuracy measured on the
     same forward passes.
     """
-    if not dataset:
-        raise ConfigError("training requires a non-empty dataset")
-    lengths = {s.frames.shape[0] for s in dataset}
-    if len(lengths) != 1:
-        raise ConfigError(f"all samples must share one temporal length, got {sorted(lengths)}")
-    joints_channels = {s.frames.shape[1:] for s in dataset}
-    if len(joints_channels) != 1:
-        raise ConfigError(f"all samples must share one joint and channel count, got (V, C) of "
-                          f"{sorted(joints_channels)}")
+    slices = _slicer(dataset, "training")
     params = model.parameters()
     optimizer = Adam(params, config)
     rng = np.random.default_rng(config.seed)
-    micro = micro_batch_size(*dataset[0].frames.shape[:2])
     history = []
     for epoch in range(config.epochs):
         lr = lr_at(epoch, config)
@@ -153,8 +159,7 @@ def train(model: DDGCNModel, dataset: list[SkeletonSample], config: TrainConfig,
         for start in range(0, len(dataset), config.batch_size):
             batch = order[start:start + config.batch_size]
             eg.zero_grads(params)
-            for part in range(0, len(batch), micro):
-                frames, labels = _stack_batch([dataset[i] for i in batch[part:part + micro]])
+            for frames, labels in slices(batch):
                 logits = model.logits(frames)
                 loss = eg.cross_entropy(logits, labels)
                 (loss * (len(labels) / len(batch))).backward()
@@ -169,33 +174,27 @@ def train(model: DDGCNModel, dataset: list[SkeletonSample], config: TrainConfig,
     return history
 
 
-def evaluate(model: DDGCNModel, dataset: list[SkeletonSample]) -> float:
-    """Top-1 accuracy; argmax ties break to the lowest class index."""
-    if not dataset:
-        raise ConfigError("evaluation requires a non-empty dataset")
-    correct = 0
-    for sample in dataset:
-        probs = model.predict_proba(sample.frames)
-        correct += int(int(np.argmax(probs)) == sample.label)
+def _accuracy(score, dataset: list[SkeletonSample]) -> float:
+    """Top-1 accuracy of ``score``, a map from (m, T, V, C) frames to (m, K) scores."""
+    correct = sum(int((score(frames).argmax(axis=1) == labels).sum())
+                  for frames, labels in _slicer(dataset, "evaluation")(range(len(dataset))))
     return correct / len(dataset)
+
+
+def evaluate(model: DDGCNModel, dataset: list[SkeletonSample]) -> float:
+    """Top-1 accuracy; argmax ties break to the lowest class index. Each of
+    ``train``'s micro-batches is one ``predict_proba`` call."""
+    return _accuracy(model.predict_proba, dataset)
 
 
 def evaluate_fused(model_joint: DDGCNModel, model_bone: DDGCNModel,
                    dataset: list[SkeletonSample]) -> float:
-    """Top-1 accuracy of the score-averaged two-stream ensemble.
-
-    ``dataset`` holds joint coordinates; the second model sees the bone
-    stream derived with its topology.
-    """
-    if not dataset:
-        raise ConfigError("evaluation requires a non-empty dataset")
+    """Top-1 accuracy of the score-averaged two-stream ensemble, scored as
+    ``evaluate`` scores. ``dataset`` holds joint coordinates; the second
+    model sees the bone stream derived with its topology."""
     topology = model_bone.config.topology
-    correct = 0
-    for sample in dataset:
-        fused = fuse_scores(model_joint.predict_proba(sample.frames),
-                            model_bone.predict_proba(bone_transform(sample.frames, topology)))
-        correct += int(int(np.argmax(fused)) == sample.label)
-    return correct / len(dataset)
+    return _accuracy(lambda x: fuse_scores(model_joint.predict_proba(x),
+                                           model_bone.predict_proba(bone_transform(x, topology))), dataset)
 
 
 HISTORY_FIELDS = ("epoch", "lr", "loss", "accuracy")

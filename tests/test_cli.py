@@ -1,10 +1,14 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from ddgcn import cli, data, graph
+import ddgcn
+from ddgcn import checks, cli, data, graph
 from ddgcn.layers import ModelConfig
 from ddgcn.train import TrainConfig
 from ddgcn.windows import WindowSpec
@@ -118,11 +122,14 @@ def test_eval_checkpoint_of_another_config_is_data_error(tmp_path, capsys, overr
     assert f"model config differs in {key}" in capsys.readouterr().err
 
 
-def test_missing_config_file(tmp_path):
+def test_missing_config_file(tmp_path, capsys):
     assert cli.main(["train", "--config", str(tmp_path / "nope.json")]) == cli.EXIT_CONFIG
     assert cli.main(["train", "--config", str(tmp_path)]) == cli.EXIT_CONFIG  # a directory
     (tmp_path / "binary.json").write_bytes(b"\xff\xfe")
     assert cli.main(["train", "--config", str(tmp_path / "binary.json")]) == cli.EXIT_CONFIG
+    capsys.readouterr()
+    assert cli.main(["train", "--config", write_config(tmp_path, [1, 2])]) == cli.EXIT_CONFIG
+    assert "config document must be a JSON object" in capsys.readouterr().err
 
 
 def test_unknown_config_key(tmp_path):
@@ -280,6 +287,12 @@ def test_malformed_value_is_config_error(tmp_path, capsys, override):
     ("train.base_lr=nan", "base_lr"), ("train.base_lr=Infinity", "base_lr"),
     ("train.beta1=1.0", "beta1"), ("train.beta1=-0.5", "beta1"), ("train.beta2=1.5", "beta2"),
     ("train.eps=0", "eps"),
+    ("model.num_classes=1", "need at least two classes"),
+    ("model.strides=[1]", "channels and strides must have the same length"),
+    ('model={"channels": [], "strides": []}', "at least one layer is required"),
+    ("model.heads=3", "heads=3 must divide every layer width, got 8"),
+    ("model.groups=3", "groups=3 must divide every layer width, got 8"),
+    ("model.window=[4,2]", "window width 2 must divide joint count 5"),
 ])
 def test_unusable_value_is_config_error(tmp_path, capsys, override, key):
     config = write_config(tmp_path, base_config(tmp_path))
@@ -304,12 +317,21 @@ def test_unusable_value_is_config_error(tmp_path, capsys, override, key):
                  "references an invalid joint id", id="topology-edge=10**400"),
     ('topology={"num_joints": 2, "root": 0, "edges": [[0, 1]], "names": "ab"}',
      "names must be a list of strings"),
+    ('topology={"num_joints": 2, "root": 0, "edges": [[0, 1]], "names": []}',
+     "names length must equal num_joints"),
+    ("topology=5", "topology must be a name, a {'file': path} object or an inline document"),
     ("output_dir=config.json", "config.json is not a directory"),
+    ("train=5", "train section must be an object"),
+    ('data.synthetic={"samples_per_class": 2, "frames": 8}', "data.synthetic.num_classes is required"),
+    ("seed.x=1", "override 'seed.x=1' descends into a non-object key"),
+    ('data.file="ds.jsonl"', "must name either a file or a synthetic spec, not both"),
+    pytest.param(("data={}", "model.num_classes=3"), "config has no data source", id="no-data-source"),
 ])
 def test_unusable_path_or_document_is_config_error(tmp_path, capsys, monkeypatch, override, message):
     monkeypatch.chdir(tmp_path)
     config = write_config(tmp_path, base_config(tmp_path))
-    assert cli.main(["train", "--config", config, "--set", override]) == cli.EXIT_CONFIG
+    overrides = [arg for item in ((override,) if isinstance(override, str) else override) for arg in ("--set", item)]
+    assert cli.main(["train", "--config", config, *overrides]) == cli.EXIT_CONFIG
     out, err = capsys.readouterr()
     assert message in err
     assert out == ""  # refused before any training
@@ -407,6 +429,29 @@ def test_unusable_synthetic_noise_is_data_error(tmp_path, capsys, value):
     assert not (tmp_path / "out").exists()
 
 
+def test_an_output_dir_that_cannot_be_made_is_refused_before_training(tmp_path, capsys, monkeypatch):
+    def refuse(self, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(self))
+
+    monkeypatch.setattr(Path, "mkdir", refuse)
+    config = write_config(tmp_path, base_config(tmp_path, stream="fusion"))
+    assert cli.main(["train", "--config", config]) == cli.EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert f"config error: output_dir {tmp_path / 'out'} cannot be made: [Errno 13] Permission denied" in err
+    assert "trained" not in out
+    assert not (tmp_path / "out").exists()
+
+
+def test_an_overflow_in_the_first_layer_exits_4_without_a_numpy_warning(tmp_path, capsys):
+    huge = clip("huge")
+    huge["frames"] = [[[1e307 * (-1) ** (t + j + c) for c in range(3)] for j in range(5)] for t in range(2)]
+    config = file_config(tmp_path, [clip("ok"), huge])
+    assert cli.main(["train", "--config", config]) == cli.EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert "numeric error: non-finite values produced by matmul" in err
+    assert "RuntimeWarning" not in err
+
+
 def test_gradcheck_passes_on_reduced_config(tmp_path, capsys):
     config = write_config(tmp_path, base_config(tmp_path))
     assert cli.main(["gradcheck", "--config", config]) == 0
@@ -414,6 +459,17 @@ def test_gradcheck_passes_on_reduced_config(tmp_path, capsys):
     for tag in ("channel_correlation", "cagc_forward", "msa_window", "stse_forward", "model"):
         assert f"gradcheck {tag}: max rel err" in out
     assert "FAIL" not in out
+
+
+def test_gradcheck_failure_exits_4(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(checks, "run_gradient_battery",
+                        lambda *args, **kwargs: {"model/head_w": 1e-2, "model/head_b": 1e-9, "msa_window/wq": 1e-9})
+    config = write_config(tmp_path, base_config(tmp_path))
+    assert cli.main(["gradcheck", "--config", config]) == cli.EXIT_NUMERIC
+    out, err = capsys.readouterr()
+    assert "gradcheck model: max rel err 1.000e-02 [FAIL]" in out
+    assert "gradcheck msa_window: max rel err 1.000e-09 [ok]" in out
+    assert "gradient check failed" in err
 
 
 def test_inspect_partition_activity_toy2(tmp_path, capsys):
@@ -479,6 +535,18 @@ def test_a_directory_path_exits_with_its_code(tmp_path, capsys, argv, code, mess
     (tmp_path / "folder").mkdir()
     assert cli.main([arg.format(**paths) for arg in argv]) == code
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra, code", [([], cli.EXIT_OK), (["--set", "windowing=4"], cli.EXIT_CONFIG)],
+                         ids=["ok", "unknown-key"])
+def test_python_dash_m_ddgcn_passes_the_exit_code_through(tmp_path, extra, code):
+    config = write_config(tmp_path, base_config(tmp_path))
+    src = str(Path(ddgcn.__file__).resolve().parents[1])
+    run = subprocess.run([sys.executable, "-m", "ddgcn", "inspect-partition", "--config", config, *extra],
+                         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert run.returncode == code, run.stderr
+    assert ("subset 0 normalized adjacency:" in run.stdout) == (code == cli.EXIT_OK)
+    assert ("unknown key(s) in config: windowing" in run.stderr) == (code == cli.EXIT_CONFIG)
 
 
 def test_argparse_rejects_unknown_command():

@@ -64,6 +64,10 @@ def test_load_reports_line_numbers(tmp_path):
     write_lines(path2, [{"id": "x", "label": 0}])
     with pytest.raises(DataError, match=":1"):
         data.load_dataset(path2)
+    path3 = tmp_path / "negative.jsonl"
+    write_lines(path3, [sample_doc(), sample_doc(sample_id="below", label=-1)])
+    with pytest.raises(DataError, match=r"negative\.jsonl:2: negative label"):
+        data.load_dataset(path3)
 
 
 def test_zero_frame_sample_is_data_error():

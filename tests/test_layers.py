@@ -12,7 +12,7 @@ import pytest
 from ddgcn import engine as eg, graph, layers
 from ddgcn.checks import weighted_sum
 from ddgcn.engine import Tensor
-from ddgcn.errors import ShapeError
+from ddgcn.errors import ConfigError, ShapeError
 from ddgcn.graph import SkeletonTopology
 from ddgcn.windows import WindowSpec, split_windows
 
@@ -282,6 +282,10 @@ def test_stse_shape_contract_and_window_count(monkeypatch):
     assert out.shape == (1, 64, 25, 8)
     assert seen[0][1] == 16  # windows processed per pass
     assert split_windows(64, 25, WindowSpec(4, 25)).num_windows == 16
+    for heads, groups, message in ((3, 4, "heads=3 must divide channels=8"), (4, 3, "groups=3 must divide channels=8")):
+        with pytest.raises(ConfigError, match=message):
+            layers.STSE(8, WindowSpec(4, 25), heads=heads, kernel=5, groups=groups, stride=1,
+                        rng=np.random.default_rng(2))
 
 
 def test_stse_stride_halves_frames():

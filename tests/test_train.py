@@ -212,6 +212,10 @@ def toy5_acceptance_model():
     return model
 
 
+def stack(samples):
+    return np.stack([s.frames for s in samples]), np.asarray([s.label for s in samples])
+
+
 def toy5_batch(count):
     return data.generate_synthetic(data.SyntheticSpec(
         num_classes=4, samples_per_class=-(-count // 4), frames=16, topology=TOY5,
@@ -261,7 +265,7 @@ def test_accumulated_gradients_match_the_whole_batch(monkeypatch, batch, slices)
     model = toy5_acceptance_model()
     grads, sizes = first_step_gradients(monkeypatch, model, dataset)
     assert sizes == slices
-    frames, labels = train._stack_batch(dataset)
+    frames, labels = stack(dataset)
     eg.zero_grads(model.parameters())
     eg.cross_entropy(model.logits(frames), labels).backward()
     assert grads.keys() == {p.name for p in model.parameters()}
@@ -327,7 +331,7 @@ def test_a_training_step_leaves_every_parameter_a_view_into_one_buffer(monkeypat
     # the step's gradient is, bit for bit, a fresh per-parameter backward of the same batch
     fresh = toy5_acceptance_model()
     eg.zero_grads(fresh.parameters())
-    frames, labels = train._stack_batch([dataset[i] for i in np.random.default_rng(config.seed).permutation(8)])
+    frames, labels = stack([dataset[i] for i in np.random.default_rng(config.seed).permutation(8)])
     (eg.cross_entropy(fresh.logits(frames), labels) * (len(labels) / 8)).backward()
     assert all(p.grad.base is None for p in fresh.parameters())
     assert np.concatenate([p.grad for p in fresh.parameters()], axis=None).tobytes() == opt.grad.tobytes()
@@ -383,8 +387,55 @@ def test_evaluate_is_order_invariant():
     rng = np.random.default_rng(0)
     shuffled = [ds[i] for i in rng.permutation(len(ds))]
     assert train.evaluate(model, ds) == train.evaluate(model, shuffled)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="evaluation requires a non-empty dataset"):
         train.evaluate(model, [])
+    with pytest.raises(ConfigError, match="evaluation requires a non-empty dataset"):
+        train.evaluate_fused(model, model, [])
+    ds[0] = data.SkeletonSample(frames=ds[0].frames[:4], label=0, sample_id="short")
+    for evaluation in (lambda: train.evaluate(model, ds), lambda: train.evaluate_fused(model, model, ds)):
+        with pytest.raises(ConfigError, match=r"one temporal length, got \[4, 8\]"):
+            evaluation()
+
+
+@pytest.mark.parametrize("count", [50, 64])
+def test_evaluation_scores_in_training_micro_batches_as_per_clip_scoring_does(monkeypatch, count):
+    joint, bone = toy5_acceptance_model(), toy5_acceptance_model()
+    bone.head_w.data = np.random.default_rng(1).normal(0.0, 1.0, bone.head_w.shape)
+    dataset = toy5_batch(count)
+    frames, labels = stack(dataset)
+    calls, logits = [], layers.DDGCNModel.logits
+    monkeypatch.setattr(layers.DDGCNModel, "logits", lambda self, x: calls.append((self, x)) or logits(self, x))
+    accuracy = train.evaluate(joint, dataset)
+    fused = train.evaluate_fused(joint, bone, dataset)
+    monkeypatch.undo()
+    slices = -(-count // train.micro_batch_size(16, 5))
+    assert [model for model, _ in calls] == [joint] * slices + [joint, bone] * slices
+    npt.assert_array_equal(np.concatenate([x for _, x in calls[:slices]]), frames)
+    npt.assert_array_equal(np.concatenate([x for _, x in calls[slices + 1::2]]), layers.bone_transform(frames, TOY5))
+    for model, x in calls:
+        stacked = model.predict_proba(x)
+        assert stacked.shape == (len(x), 4)
+        assert eg.relative_error(stacked, np.stack([model.predict_proba(clip) for clip in x])) <= 1e-12
+    p_joint = np.stack([joint.predict_proba(clip) for clip in frames])
+    p_bone = np.stack([bone.predict_proba(clip) for clip in layers.bone_transform(frames, TOY5)])
+    assert accuracy == (p_joint.argmax(axis=1) == labels).sum() / count
+    assert fused == (layers.fuse_scores(p_joint, p_bone).argmax(axis=1) == labels).sum() / count
+
+
+def test_an_ntu25_clip_scores_the_same_bits_stacked_or_alone(monkeypatch):
+    topology = graph.get_topology("ntu25")
+    model = layers.DDGCNModel(layers.ModelConfig(topology=topology, num_classes=3), seed=0)
+    model.head_w.data = np.random.default_rng(0).normal(0.0, 1.0, model.head_w.shape)
+    dataset = data.generate_synthetic(data.SyntheticSpec(
+        num_classes=3, samples_per_class=1, frames=64, topology=topology, noise_std=0.1, seed=2))[:2]
+    sizes = logits_batch_sizes(monkeypatch)
+    accuracy = train.evaluate(model, dataset)
+    monkeypatch.undo()
+    assert sizes == [1, 1]
+    alone = [model.predict_proba(s.frames) for s in dataset]
+    for s, p in zip(dataset, alone):
+        assert model.predict_proba(s.frames[None])[0].tobytes() == p.tobytes()
+    assert accuracy == sum(int(np.argmax(p)) == s.label for s, p in zip(dataset, alone)) / 2
 
 
 def test_perfect_predictor_scores_one():
