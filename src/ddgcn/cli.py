@@ -23,7 +23,7 @@ import numpy as np
 
 from . import checks, data as data_mod, graph, train as train_mod
 from .errors import ConfigError, DataError, NumericError, ShapeError, read_number
-from .layers import DDGCNModel, ModelConfig, bone_transform
+from .layers import DDGCNModel, ModelConfig, bone_transform, fuse_scores
 from .windows import WindowSpec
 
 EXIT_OK = 0
@@ -206,40 +206,50 @@ def _to_stream(samples, stream: str, topology) -> list[data_mod.SkeletonSample]:
             for s in samples]
 
 
-def _train_one(config: RunConfig, stream: str, samples, model_seed: int):
+def _outputs(config: RunConfig, stream: str) -> tuple[Path, Path]:
+    return config.output_dir / f"history_{stream}.csv", config.output_dir / f"model_{stream}.ckpt"
+
+
+def _train_one(config: RunConfig, stream: str, samples, model_seed: int) -> np.ndarray:
+    """Train and save ``stream``'s model; print its train accuracy and return its (N, K) scores."""
     model = DDGCNModel(config.model, seed=model_seed)
     stream_samples = _to_stream(samples, stream, config.model.topology)
     history = train_mod.train(model, stream_samples, config.train)
-    history_path = config.output_dir / f"history_{stream}.csv"
-    ckpt_path = config.output_dir / f"model_{stream}.ckpt"
-    train_mod.write_history_csv(history, history_path)
-    model.save(ckpt_path)
-    accuracy = train_mod.evaluate(model, stream_samples)
-    print(f"{stream}: trained {config.train.epochs} epochs, "
-          f"final loss {history[-1].loss:.6f}, train accuracy {accuracy:.4f}")
+    history_path, ckpt_path = _outputs(config, stream)
+    path = history_path
+    try:
+        train_mod.write_history_csv(history, path)
+        path = ckpt_path
+        model.save(path)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+    scores = train_mod.scores(model.predict_proba, stream_samples)
+    print(f"{stream}: trained {config.train.epochs} epochs, final loss {history[-1].loss:.6f}, "
+          f"train accuracy {train_mod.accuracy(scores, stream_samples):.4f}")
     print(f"{stream}: wrote {history_path} and {ckpt_path}")
-    return model
+    return scores
 
 
 def cmd_train(args) -> int:
     config = load_run_config(args.config, args.set)
-    # outputs are written after training, so a directory that cannot be made fails first:
-    # an ancestor that is a file before any data loads, any other reason before training
+    streams = ("joint", "bone") if config.stream == "fusion" else (config.stream,)
+    # outputs are written after training, so a path that cannot be written fails first:
+    # an ancestor that is a file or an output that is a directory before any data loads,
+    # a directory that cannot be made for any other reason before training
     existing = next(p for p in (config.output_dir, *config.output_dir.parents) if p.exists())
     if not existing.is_dir():
         raise ConfigError(f"output_dir {config.output_dir} cannot be made: {existing} is not a directory")
+    folders = [path for stream in streams for path in _outputs(config, stream) if path.is_dir()]
+    if folders:
+        raise ConfigError(f"cannot write {folders[0]}: it is a directory")
     samples = _load_samples(config)
     try:
         config.output_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"output_dir {config.output_dir} cannot be made: {exc}") from exc
+    scores = [_train_one(config, stream, samples, config.seed + k) for k, stream in enumerate(streams)]
     if config.stream == "fusion":
-        model_joint = _train_one(config, "joint", samples, config.seed)
-        model_bone = _train_one(config, "bone", samples, config.seed + 1)
-        fused = train_mod.evaluate_fused(model_joint, model_bone, samples)
-        print(f"fusion: train accuracy {fused:.4f}")
-    else:
-        _train_one(config, config.stream, samples, config.seed)
+        print(f"fusion: train accuracy {train_mod.accuracy(fuse_scores(*scores), samples):.4f}")
     return EXIT_OK
 
 

@@ -174,27 +174,30 @@ def train(model: DDGCNModel, dataset: list[SkeletonSample], config: TrainConfig,
     return history
 
 
-def _accuracy(score, dataset: list[SkeletonSample]) -> float:
-    """Top-1 accuracy of ``score``, a map from (m, T, V, C) frames to (m, K) scores."""
-    correct = sum(int((score(frames).argmax(axis=1) == labels).sum())
-                  for frames, labels in _slicer(dataset, "evaluation")(range(len(dataset))))
-    return correct / len(dataset)
+def scores(score, dataset: list[SkeletonSample]) -> np.ndarray:
+    """The (N, K) scores of ``dataset`` in its order, one ``score`` call (a map
+    from (m, T, V, C) frames to (m, K) scores) per ``train`` micro-batch."""
+    return np.concatenate([score(frames) for frames, _ in _slicer(dataset, "evaluation")(range(len(dataset)))])
+
+
+def accuracy(scores: np.ndarray, dataset: list[SkeletonSample]) -> float:
+    """Top-1 accuracy of (N, K) ``scores``; argmax ties break to the lowest class index."""
+    return int((scores.argmax(axis=1) == [s.label for s in dataset]).sum()) / len(dataset)
 
 
 def evaluate(model: DDGCNModel, dataset: list[SkeletonSample]) -> float:
-    """Top-1 accuracy; argmax ties break to the lowest class index. Each of
-    ``train``'s micro-batches is one ``predict_proba`` call."""
-    return _accuracy(model.predict_proba, dataset)
+    """Top-1 accuracy of ``model``'s ``predict_proba`` scores."""
+    return accuracy(scores(model.predict_proba, dataset), dataset)
 
 
 def evaluate_fused(model_joint: DDGCNModel, model_bone: DDGCNModel,
                    dataset: list[SkeletonSample]) -> float:
-    """Top-1 accuracy of the score-averaged two-stream ensemble, scored as
-    ``evaluate`` scores. ``dataset`` holds joint coordinates; the second
-    model sees the bone stream derived with its topology."""
+    """Top-1 accuracy of the score-averaged two-stream ensemble. ``dataset`` holds joint
+    coordinates; the second model sees bones derived one slice at a time with its topology."""
     topology = model_bone.config.topology
-    return _accuracy(lambda x: fuse_scores(model_joint.predict_proba(x),
-                                           model_bone.predict_proba(bone_transform(x, topology))), dataset)
+    return accuracy(scores(lambda x: fuse_scores(model_joint.predict_proba(x),
+                                                 model_bone.predict_proba(bone_transform(x, topology))),
+                           dataset), dataset)
 
 
 HISTORY_FIELDS = ("epoch", "lr", "loss", "accuracy")

@@ -8,8 +8,8 @@ from pathlib import Path
 import pytest
 
 import ddgcn
-from ddgcn import checks, cli, data, graph
-from ddgcn.layers import ModelConfig
+from ddgcn import checks, cli, data, engine, graph, train
+from ddgcn.layers import DDGCNModel, ModelConfig
 from ddgcn.train import TrainConfig
 from ddgcn.windows import WindowSpec
 
@@ -70,6 +70,40 @@ def test_eval_single_and_fused(tmp_path, capsys):
     assert cli.main(["eval", "--config", config, "--checkpoint", joint,
                      "--checkpoint2", bone]) == 0
     assert "(fusion)" in capsys.readouterr().out
+
+
+def test_a_fusion_run_scores_each_clip_once_per_model_after_training(tmp_path, monkeypatch):
+    clips = {}
+    predict_proba = DDGCNModel.predict_proba
+
+    def spy(self, x):
+        clips[self] = clips.get(self, 0) + len(x)
+        return predict_proba(self, x)
+
+    monkeypatch.setattr(DDGCNModel, "predict_proba", spy)
+    config = write_config(tmp_path, base_config(tmp_path, stream="fusion"))
+    assert cli.main(["train", "--config", config]) == 0
+    assert list(clips.values()) == [6, 6]
+
+
+def test_train_prints_the_accuracies_eval_prints_for_its_checkpoints(tmp_path, capsys):
+    doc = base_config(tmp_path, stream="fusion")
+    doc["train"]["epochs"] = 1
+    doc["data"]["synthetic"].update(noise_std=1.0, samples_per_class=4)
+    config = write_config(tmp_path, doc)
+    assert cli.main(["train", "--config", config]) == 0
+    printed = {line.split(":")[0]: line.rsplit(" ", 1)[1]
+               for line in capsys.readouterr().out.splitlines() if "train accuracy" in line}
+    assert sorted(printed) == ["bone", "fusion", "joint"]
+    assert all(0 < float(value) < 1 for value in printed.values()), printed
+    joint, bone = str(tmp_path / "out" / "model_joint.ckpt"), str(tmp_path / "out" / "model_bone.ckpt")
+    for stream, extra in (("joint", ["--set", "stream=joint", "--checkpoint", joint]),
+                          ("bone", ["--set", "stream=bone", "--checkpoint", bone]),
+                          ("fusion", ["--checkpoint", joint, "--checkpoint2", bone])):
+        assert cli.main(["eval", "--config", config, *extra]) == 0
+        out = capsys.readouterr().out
+        assert out.endswith(f"({stream})\n")
+        assert f"{float(out.split()[1]):.4f}" == printed[stream]
 
 
 def test_eval_fusion_without_second_checkpoint_is_config_error(tmp_path):
@@ -440,6 +474,34 @@ def test_an_output_dir_that_cannot_be_made_is_refused_before_training(tmp_path, 
     assert f"config error: output_dir {tmp_path / 'out'} cannot be made: [Errno 13] Permission denied" in err
     assert "trained" not in out
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name", ["history_{}.csv", "model_{}.ckpt"])
+@pytest.mark.parametrize("stream", ["joint", "bone"])
+def test_an_output_that_is_a_directory_is_refused_before_training(tmp_path, capsys, monkeypatch, name, stream):
+    monkeypatch.setattr(train, "train", lambda *args: pytest.fail("training ran"))
+    folder = tmp_path / "out" / name.format(stream)
+    folder.mkdir(parents=True)
+    config = write_config(tmp_path, base_config(tmp_path, stream="fusion"))
+    assert cli.main(["train", "--config", config]) == cli.EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert f"config error: cannot write {folder}: it is a directory" in err
+    assert out == ""
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [folder.name]
+
+
+@pytest.mark.parametrize("name, module, function", [("history_joint.csv", train, "write_history_csv"),
+                                                    ("model_joint.ckpt", engine, "save_checkpoint")],
+                         ids=["history", "checkpoint"])
+def test_an_output_that_cannot_be_written_is_config_error(tmp_path, capsys, monkeypatch, name, module, function):
+    def refuse(*args):
+        raise PermissionError(13, "Permission denied")
+
+    monkeypatch.setattr(module, function, refuse)
+    config = write_config(tmp_path, base_config(tmp_path, stream="fusion"))
+    assert cli.main(["train", "--config", config]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"config error: cannot write {tmp_path / 'out' / name}: [Errno 13] Permission denied" in err
 
 
 def test_an_overflow_in_the_first_layer_exits_4_without_a_numpy_warning(tmp_path, capsys):

@@ -420,6 +420,10 @@ def test_evaluation_scores_in_training_micro_batches_as_per_clip_scoring_does(mo
     p_bone = np.stack([bone.predict_proba(clip) for clip in layers.bone_transform(frames, TOY5)])
     assert accuracy == (p_joint.argmax(axis=1) == labels).sum() / count
     assert fused == (layers.fuse_scores(p_joint, p_bone).argmax(axis=1) == labels).sum() / count
+    scores = train.scores(joint.predict_proba, dataset)
+    assert scores.shape == (count, 4)
+    assert eg.relative_error(scores, p_joint) <= 1e-12
+    assert train.accuracy(scores, dataset) == accuracy
 
 
 def test_an_ntu25_clip_scores_the_same_bits_stacked_or_alone(monkeypatch):
