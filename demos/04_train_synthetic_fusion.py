@@ -4,7 +4,7 @@
 Generates a small synthetic action set over the 5-joint star skeleton,
 trains a reduced model on the joint stream and another on the bone
 stream, scores each model once and fuses the two score arrays. Takes
-about 5 s on a 2-core x86-64 host.
+about 6 s on a 2-core x86-64 host.
 """
 
 import time

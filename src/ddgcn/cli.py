@@ -15,7 +15,7 @@ import csv
 import json
 import re
 import sys
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 from typing import get_type_hints
 
@@ -34,7 +34,8 @@ EXIT_NUMERIC = 4
 _TOP_KEYS = {"seed", "topology", "strategy", "stream", "output_dir", "model", "train", "data"}
 _DATA_KEYS = {"file", "synthetic", "target_frames"}
 
-STREAMS = ("joint", "bone", "fusion")
+# the models each `stream` setting trains and scores, in checkpoint order
+STREAMS = {"joint": ("joint",), "bone": ("bone",), "fusion": ("joint", "bone")}
 
 
 @dataclass
@@ -143,7 +144,7 @@ def parse_run_config(doc: dict) -> RunConfig:
     strategy = str(doc.get("strategy", "activity"))
     stream = str(doc.get("stream", "joint"))
     if stream not in STREAMS:
-        raise ConfigError(f"stream must be one of {STREAMS}, got {stream!r}")
+        raise ConfigError(f"stream must be one of {tuple(STREAMS)}, got {stream!r}")
     output_dir = _read(doc.get("output_dir", "runs"), "output_dir", Path)
 
     topo_spec = doc.get("topology", "ntu25")
@@ -198,22 +199,23 @@ def _load_samples(config: RunConfig) -> list[data_mod.SkeletonSample]:
             for s in raw]
 
 
-def _to_stream(samples, stream: str, topology) -> list[data_mod.SkeletonSample]:
-    if stream == "joint":
-        return samples
-    return [data_mod.SkeletonSample(frames=bone_transform(s.frames, topology),
-                                    label=s.label, sample_id=s.sample_id)
-            for s in samples]
-
-
 def _outputs(config: RunConfig, stream: str) -> tuple[Path, Path]:
     return config.output_dir / f"history_{stream}.csv", config.output_dir / f"model_{stream}.ckpt"
+
+
+def _stream_scores(model: DDGCNModel, stream: str, samples) -> np.ndarray:
+    """``model``'s (N, K) scores of the joint clips ``samples`` as ``stream`` sees
+    them; the bone stream derives its frames one stacked slice at a time."""
+    topology = model.config.topology
+    return train_mod.scores(model.predict_proba if stream == "joint" else
+                            lambda x: model.predict_proba(bone_transform(x, topology)), samples)
 
 
 def _train_one(config: RunConfig, stream: str, samples, model_seed: int) -> np.ndarray:
     """Train and save ``stream``'s model; print its train accuracy and return its (N, K) scores."""
     model = DDGCNModel(config.model, seed=model_seed)
-    stream_samples = _to_stream(samples, stream, config.model.topology)
+    stream_samples = samples if stream == "joint" else [
+        replace(s, frames=bone_transform(s.frames, config.model.topology)) for s in samples]
     history = train_mod.train(model, stream_samples, config.train)
     history_path, ckpt_path = _outputs(config, stream)
     path = history_path
@@ -223,16 +225,16 @@ def _train_one(config: RunConfig, stream: str, samples, model_seed: int) -> np.n
         model.save(path)
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc}") from exc
-    scores = train_mod.scores(model.predict_proba, stream_samples)
+    scores = _stream_scores(model, stream, samples)
     print(f"{stream}: trained {config.train.epochs} epochs, final loss {history[-1].loss:.6f}, "
-          f"train accuracy {train_mod.accuracy(scores, stream_samples):.4f}")
+          f"train accuracy {train_mod.accuracy(scores, samples):.4f}")
     print(f"{stream}: wrote {history_path} and {ckpt_path}")
     return scores
 
 
 def cmd_train(args) -> int:
     config = load_run_config(args.config, args.set)
-    streams = ("joint", "bone") if config.stream == "fusion" else (config.stream,)
+    streams = STREAMS[config.stream]
     # outputs are written after training, so a path that cannot be written fails first:
     # an ancestor that is a file or an output that is a directory before any data loads,
     # a directory that cannot be made for any other reason before training
@@ -255,6 +257,10 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     config = load_run_config(args.config, args.set)
+    if config.stream == "fusion" and args.checkpoint2 is None:
+        raise ConfigError("fusion evaluation needs --checkpoint2 for the bone stream")
+    if config.stream != "fusion" and args.checkpoint2 is not None:
+        raise ConfigError(f"--checkpoint2 is only for stream fusion, not {config.stream}: use --set stream=fusion")
     samples = _load_samples(config)
 
     def load_model(path):
@@ -267,18 +273,11 @@ def cmd_eval(args) -> int:
             raise DataError(f"checkpoint {path} does not match the configured model: {exc}") from exc
         return model
 
-    if args.checkpoint2 is not None:
-        model_joint = load_model(args.checkpoint)
-        model_bone = load_model(args.checkpoint2)
-        accuracy = train_mod.evaluate_fused(model_joint, model_bone, samples)
-        print(f"top1_accuracy {accuracy:.6f} (fusion)")
-    else:
-        if config.stream == "fusion":
-            raise ConfigError("fusion evaluation needs --checkpoint2 for the bone stream")
-        model = load_model(args.checkpoint)
-        stream_samples = _to_stream(samples, config.stream, config.model.topology)
-        accuracy = train_mod.evaluate(model, stream_samples)
-        print(f"top1_accuracy {accuracy:.6f} ({config.stream})")
+    checkpoints = zip(STREAMS[config.stream], (args.checkpoint, args.checkpoint2))
+    models = [(stream, load_model(path)) for stream, path in checkpoints]
+    scores = [_stream_scores(model, stream, samples) for stream, model in models]
+    accuracy = train_mod.accuracy(fuse_scores(*scores) if config.stream == "fusion" else scores[0], samples)
+    print(f"top1_accuracy {accuracy:.6f} ({config.stream})")
     return EXIT_OK
 
 
@@ -347,7 +346,7 @@ def cmd_export_metrics(args) -> int:
     for src in args.inputs:
         try:
             rows = train_mod.read_history_csv(src)
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise DataError(f"cannot read metrics file {src}: {exc}") from exc
         except ValueError as exc:
             raise DataError(str(exc)) from exc
@@ -377,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_config(p_train)
     p_train.set_defaults(func=cmd_train)
 
-    p_eval = sub.add_parser("eval", help="evaluate a checkpoint (two checkpoints fuse streams)")
+    p_eval = sub.add_parser("eval", help="evaluate a checkpoint (two for stream fusion)")
     add_config(p_eval)
     p_eval.add_argument("--checkpoint", required=True)
     p_eval.add_argument("--checkpoint2", default=None,
@@ -409,7 +408,7 @@ def main(argv=None) -> int:
         # an overflow is reported by the engine's finiteness check as a NumericError
         with np.errstate(over="ignore", invalid="ignore"):
             return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, MemoryError) as exc:  # MemoryError: a configured shape too large to allocate
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except DataError as exc:

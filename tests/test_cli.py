@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import ddgcn
-from ddgcn import checks, cli, data, engine, graph, train
+from ddgcn import checks, cli, data, engine, graph, layers, train
 from ddgcn.layers import DDGCNModel, ModelConfig
 from ddgcn.train import TrainConfig
 from ddgcn.windows import WindowSpec
@@ -111,6 +111,66 @@ def test_eval_fusion_without_second_checkpoint_is_config_error(tmp_path):
     assert cli.main(["train", "--config", config]) == 0
     joint = str(tmp_path / "out" / "model_joint.ckpt")
     assert cli.main(["eval", "--config", config, "--checkpoint", joint]) == cli.EXIT_CONFIG
+
+
+def trained_fusion(tmp_path):
+    """A fusion run's config path and its joint and bone checkpoints."""
+    config = write_config(tmp_path, base_config(tmp_path, stream="fusion"))
+    assert cli.main(["train", "--config", config]) == 0
+    return config, str(tmp_path / "out" / "model_joint.ckpt"), str(tmp_path / "out" / "model_bone.ckpt")
+
+
+@pytest.mark.parametrize("stream", ["joint", "bone"])
+def test_eval_refuses_a_second_checkpoint_for_a_single_stream(tmp_path, capsys, stream):
+    config, joint, bone = trained_fusion(tmp_path)
+    capsys.readouterr()
+    assert cli.main(["eval", "--config", config, "--set", f"stream={stream}", "--checkpoint", joint,
+                     "--checkpoint2", bone]) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert f"--checkpoint2 is only for stream fusion, not {stream}: use --set stream=fusion" in captured.err
+    assert captured.out == ""
+
+
+def test_a_fusion_eval_scores_each_clip_once_per_model(tmp_path, monkeypatch):
+    config, joint, bone = trained_fusion(tmp_path)
+    clips = {}
+    predict_proba = DDGCNModel.predict_proba
+
+    def spy(self, x):
+        clips[self] = clips.get(self, 0) + len(x)
+        return predict_proba(self, x)
+
+    monkeypatch.setattr(DDGCNModel, "predict_proba", spy)
+    assert cli.main(["eval", "--config", config, "--checkpoint", joint, "--checkpoint2", bone]) == 0
+    assert list(clips.values()) == [6, 6]
+
+
+@pytest.mark.parametrize("stream", ["bone", "fusion"])
+def test_eval_derives_bones_from_stacked_slices(tmp_path, monkeypatch, stream):
+    config, joint, bone = trained_fusion(tmp_path)
+    shapes = []
+
+    def spy(frames, topology):
+        shapes.append(frames.shape)
+        return layers.bone_transform(frames, topology)
+
+    monkeypatch.setattr(cli, "bone_transform", spy)
+    extra = ["--checkpoint", bone] if stream == "bone" else ["--checkpoint", joint, "--checkpoint2", bone]
+    assert cli.main(["eval", "--config", config, "--set", f"stream={stream}", *extra]) == 0
+    assert shapes and all(len(shape) == 4 for shape in shapes), shapes
+    assert sum(shape[0] for shape in shapes) == 6
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_a_model_too_large_to_allocate_is_config_error(tmp_path, capsys, command):
+    # 349 TiB: past any 64-bit host's user address space, so it fails at once
+    config = write_config(tmp_path, base_config(tmp_path))
+    extra = ["--checkpoint", str(tmp_path / "none.ckpt")] if command == "eval" else []
+    assert cli.main([command, "--config", config, "--set", "model.channels=[4000000,4000000]",
+                     *extra]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: Unable to allocate") and "Traceback" not in err
+    assert not any((tmp_path / "out").glob("**/*"))
 
 
 def test_eval_truncated_checkpoint_is_data_error(tmp_path, capsys):
@@ -588,15 +648,18 @@ def test_export_metrics_names_a_row_with_missing_or_extra_cells(tmp_path, capsys
     (["export-metrics", "--in", "{dir}", "--out", "{csv}"], cli.EXIT_DATA, "cannot read metrics file"),
     (["export-metrics", "--in", "{history}", "--out", "{dir}"], cli.EXIT_CONFIG, "cannot write"),
     (["inspect-partition", "--config", "{config}", "--csv", "{dir}"], cli.EXIT_CONFIG, "cannot write"),
+    (["export-metrics", "--in", "{binary}", "--out", "{csv}"], cli.EXIT_DATA, "cannot read metrics file {binary}"),
 ])
 def test_a_directory_path_exits_with_its_code(tmp_path, capsys, argv, code, message):
     history = tmp_path / "history.csv"
     history.write_text("epoch,lr,loss,accuracy\n0,0.1,1.0,0.5\n")
+    binary = tmp_path / "history.bin"
+    binary.write_bytes(b"epoch,lr\n\xa8\xff\n")
     paths = {"config": write_config(tmp_path, base_config(tmp_path)), "dir": str(tmp_path / "folder"),
-             "csv": str(tmp_path / "out.csv"), "history": str(history)}
+             "csv": str(tmp_path / "out.csv"), "history": str(history), "binary": str(binary)}
     (tmp_path / "folder").mkdir()
     assert cli.main([arg.format(**paths) for arg in argv]) == code
-    assert message in capsys.readouterr().err
+    assert message.format(**paths) in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("extra, code", [([], cli.EXIT_OK), (["--set", "windowing=4"], cli.EXIT_CONFIG)],

@@ -1,8 +1,8 @@
-"""Smoke test: the quick demos run to completion.
+"""Smoke test: the demos run to completion.
 
 Demo 03 (about 10 s) runs once, for its gradient-accumulation and checkpoint
 round-trip lines and its full toy5 gradient battery through the public API.
-Demo 04 (about a minute) is left to be run by hand.
+Demo 04 (about 6 s) trains both streams and prints its score-fusion section.
 """
 
 import os
@@ -15,13 +15,20 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("script", ["01_topologies_and_partitions.py",
-                                    "02_windows_and_attention.py"])
+# the header each demo prints for its last section
+LAST_SECTION = {"01_topologies_and_partitions.py":
+                "=== Masked + normalized adjacency stack (chain3, distance strategy) ===",
+                "02_windows_and_attention.py": "=== A temporal stride shrinks T inside the block ===",
+                "04_train_synthetic_fusion.py": "=== Score fusion ==="}
+
+
+@pytest.mark.parametrize("script", sorted(LAST_SECTION))
 def test_demo_runs(script):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     result = subprocess.run([sys.executable, str(ROOT / "demos" / script)], env=env,
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
+    assert LAST_SECTION[script] in result.stdout.splitlines()
 
 
 CHAIN3_PARTITIONS = """\
