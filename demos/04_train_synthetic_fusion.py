@@ -36,20 +36,17 @@ history = train.train(model_joint, samples, train_config,
                       log=lambda row: row.epoch % 10 == 0 and print(
                           f"  epoch {row.epoch:3d}  lr {row.lr:.2e}  "
                           f"loss {row.loss:.4f}  acc {row.accuracy:.3f}"))
-scores_joint = train.scores(model_joint.predict_proba, samples)
+scores_joint = train.scores(model_joint, samples)
 acc_joint = train.accuracy(scores_joint, samples)
 print(f"joint-stream train accuracy: {acc_joint:.3f} "
       f"({time.perf_counter() - start:.0f}s)")
 
 print()
 print("=== Bone stream (child minus parent vectors) ===")
-bones = [data.SkeletonSample(frames=layers.bone_transform(s.frames, topology),
-                             label=s.label, sample_id=s.sample_id)
-         for s in samples]
 model_bone = layers.DDGCNModel(config, seed=1)
-train.train(model_bone, bones, train_config)
-scores_bone = train.scores(model_bone.predict_proba, bones)
-acc_bone = train.accuracy(scores_bone, bones)
+train.train(model_bone, samples, train_config, stream="bone")
+scores_bone = train.scores(model_bone, samples, "bone")
+acc_bone = train.accuracy(scores_bone, samples)
 print(f"bone-stream train accuracy: {acc_bone:.3f}")
 
 print()

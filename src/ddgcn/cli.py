@@ -15,7 +15,7 @@ import csv
 import json
 import re
 import sys
-from dataclasses import MISSING, dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 from typing import get_type_hints
 
@@ -23,7 +23,7 @@ import numpy as np
 
 from . import checks, data as data_mod, graph, train as train_mod
 from .errors import ConfigError, DataError, NumericError, ShapeError, read_number
-from .layers import DDGCNModel, ModelConfig, bone_transform, fuse_scores
+from .layers import DDGCNModel, ModelConfig, fuse_scores
 from .windows import WindowSpec
 
 EXIT_OK = 0
@@ -203,20 +203,9 @@ def _outputs(config: RunConfig, stream: str) -> tuple[Path, Path]:
     return config.output_dir / f"history_{stream}.csv", config.output_dir / f"model_{stream}.ckpt"
 
 
-def _stream_scores(model: DDGCNModel, stream: str, samples) -> np.ndarray:
-    """``model``'s (N, K) scores of the joint clips ``samples`` as ``stream`` sees
-    them; the bone stream derives its frames one stacked slice at a time."""
-    topology = model.config.topology
-    return train_mod.scores(model.predict_proba if stream == "joint" else
-                            lambda x: model.predict_proba(bone_transform(x, topology)), samples)
-
-
-def _train_one(config: RunConfig, stream: str, samples, model_seed: int) -> np.ndarray:
+def _train_one(config: RunConfig, stream: str, samples, model: DDGCNModel) -> np.ndarray:
     """Train and save ``stream``'s model; print its train accuracy and return its (N, K) scores."""
-    model = DDGCNModel(config.model, seed=model_seed)
-    stream_samples = samples if stream == "joint" else [
-        replace(s, frames=bone_transform(s.frames, config.model.topology)) for s in samples]
-    history = train_mod.train(model, stream_samples, config.train)
+    history = train_mod.train(model, samples, config.train, stream=stream)
     history_path, ckpt_path = _outputs(config, stream)
     path = history_path
     try:
@@ -225,7 +214,7 @@ def _train_one(config: RunConfig, stream: str, samples, model_seed: int) -> np.n
         model.save(path)
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc}") from exc
-    scores = _stream_scores(model, stream, samples)
+    scores = train_mod.scores(model, samples, stream)
     print(f"{stream}: trained {config.train.epochs} epochs, final loss {history[-1].loss:.6f}, "
           f"train accuracy {train_mod.accuracy(scores, samples):.4f}")
     print(f"{stream}: wrote {history_path} and {ckpt_path}")
@@ -245,11 +234,13 @@ def cmd_train(args) -> int:
     if folders:
         raise ConfigError(f"cannot write {folders[0]}: it is a directory")
     samples = _load_samples(config)
+    # every model is built first, so one too large to allocate leaves no output_dir behind
+    models = [DDGCNModel(config.model, seed=config.seed + k) for k in range(len(streams))]
     try:
         config.output_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"output_dir {config.output_dir} cannot be made: {exc}") from exc
-    scores = [_train_one(config, stream, samples, config.seed + k) for k, stream in enumerate(streams)]
+    scores = [_train_one(config, stream, samples, model) for stream, model in zip(streams, models)]
     if config.stream == "fusion":
         print(f"fusion: train accuracy {train_mod.accuracy(fuse_scores(*scores), samples):.4f}")
     return EXIT_OK
@@ -275,7 +266,7 @@ def cmd_eval(args) -> int:
 
     checkpoints = zip(STREAMS[config.stream], (args.checkpoint, args.checkpoint2))
     models = [(stream, load_model(path)) for stream, path in checkpoints]
-    scores = [_stream_scores(model, stream, samples) for stream, model in models]
+    scores = [train_mod.scores(model, samples, stream) for stream, model in models]
     accuracy = train_mod.accuracy(fuse_scores(*scores) if config.stream == "fusion" else scores[0], samples)
     print(f"top1_accuracy {accuracy:.6f} ({config.stream})")
     return EXIT_OK

@@ -110,10 +110,14 @@ def micro_batch_size(frames: int, joints: int) -> int:
     return max(1, MICRO_BATCH_TOKENS // (frames * joints))
 
 
-def _slicer(dataset: list[SkeletonSample], task: str):
+def _slicer(dataset: list[SkeletonSample], task: str, model: DDGCNModel, stream: str):
     """Check that ``dataset`` is non-empty and of one (T, V, C) shape, and
     return a function from a sequence of indices into it to that sequence's
-    stacked ``(frames, labels)`` slices of ``micro_batch_size(T, V)`` samples."""
+    stacked ``(frames, labels)`` slices of ``micro_batch_size(T, V)`` samples.
+    ``dataset`` holds joint clips; for the ``"bone"`` stream each slice's
+    frames are its bones under ``model``'s topology."""
+    if stream not in ("joint", "bone"):
+        raise ConfigError(f"stream must be 'joint' or 'bone', got {stream!r}")
     if not dataset:
         raise ConfigError(f"{task} requires a non-empty dataset")
     lengths = {s.frames.shape[0] for s in dataset}
@@ -128,12 +132,14 @@ def _slicer(dataset: list[SkeletonSample], task: str):
     def slices(indices):
         for start in range(0, len(indices), micro):
             part = [dataset[i] for i in indices[start:start + micro]]
-            yield np.stack([s.frames for s in part]), np.asarray([s.label for s in part], dtype=np.int64)
+            frames = np.stack([s.frames for s in part])
+            yield (frames if stream == "joint" else bone_transform(frames, model.config.topology),
+                   np.asarray([s.label for s in part], dtype=np.int64))
     return slices
 
 
 def train(model: DDGCNModel, dataset: list[SkeletonSample], config: TrainConfig,
-          log=None) -> list[HistoryRow]:
+          log=None, stream: str = "joint") -> list[HistoryRow]:
     """Mini-batch cross-entropy training; deterministic for a fixed seed.
 
     Samples are reshuffled every epoch from one seeded stream. Each batch
@@ -144,9 +150,10 @@ def train(model: DDGCNModel, dataset: list[SkeletonSample], config: TrainConfig,
     flat ``grad`` buffer, which ``engine.zero_grads`` clears in place before
     each batch; Adam then steps once. The history holds one row per epoch
     with the mean sample loss and the training accuracy measured on the
-    same forward passes.
+    same forward passes. ``dataset`` holds joint clips, and ``stream``
+    ("joint" or "bone") says which frames the model sees.
     """
-    slices = _slicer(dataset, "training")
+    slices = _slicer(dataset, "training", model, stream)
     params = model.parameters()
     optimizer = Adam(params, config)
     rng = np.random.default_rng(config.seed)
@@ -174,10 +181,11 @@ def train(model: DDGCNModel, dataset: list[SkeletonSample], config: TrainConfig,
     return history
 
 
-def scores(score, dataset: list[SkeletonSample]) -> np.ndarray:
-    """The (N, K) scores of ``dataset`` in its order, one ``score`` call (a map
-    from (m, T, V, C) frames to (m, K) scores) per ``train`` micro-batch."""
-    return np.concatenate([score(frames) for frames, _ in _slicer(dataset, "evaluation")(range(len(dataset)))])
+def scores(model: DDGCNModel, dataset: list[SkeletonSample], stream: str = "joint") -> np.ndarray:
+    """``model``'s (N, K) scores of the joint clips ``dataset`` as ``stream`` sees
+    them, in dataset order: one ``predict_proba`` call per ``train`` micro-batch."""
+    slices = _slicer(dataset, "evaluation", model, stream)
+    return np.concatenate([model.predict_proba(frames) for frames, _ in slices(range(len(dataset)))])
 
 
 def accuracy(scores: np.ndarray, dataset: list[SkeletonSample]) -> float:
@@ -187,17 +195,14 @@ def accuracy(scores: np.ndarray, dataset: list[SkeletonSample]) -> float:
 
 def evaluate(model: DDGCNModel, dataset: list[SkeletonSample]) -> float:
     """Top-1 accuracy of ``model``'s ``predict_proba`` scores."""
-    return accuracy(scores(model.predict_proba, dataset), dataset)
+    return accuracy(scores(model, dataset), dataset)
 
 
 def evaluate_fused(model_joint: DDGCNModel, model_bone: DDGCNModel,
                    dataset: list[SkeletonSample]) -> float:
-    """Top-1 accuracy of the score-averaged two-stream ensemble. ``dataset`` holds joint
-    coordinates; the second model sees bones derived one slice at a time with its topology."""
-    topology = model_bone.config.topology
-    return accuracy(scores(lambda x: fuse_scores(model_joint.predict_proba(x),
-                                                 model_bone.predict_proba(bone_transform(x, topology))),
-                           dataset), dataset)
+    """Top-1 accuracy of the score-averaged two-stream ensemble of the joint clips
+    ``dataset``; the bone model sees their bones."""
+    return accuracy(fuse_scores(scores(model_joint, dataset), scores(model_bone, dataset, "bone")), dataset)
 
 
 HISTORY_FIELDS = ("epoch", "lr", "loss", "accuracy")

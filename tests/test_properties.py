@@ -176,12 +176,15 @@ def operands(draw, shape):
     return eg.Parameter(values, "p") if draw(st.booleans()) else eg.Tensor(values)
 
 
-def assert_within_bound(out):
+def assert_within_bound(out, terms=0):
     """``max|out| <= out.bound`` up to rounding, a relative K * eps for a sum
-    of K terms, which the bound limit's margin absorbs."""
+    of K terms, which the bound limit's margin absorbs. Below 2^-1022 rounding
+    is absolute: each of the ``terms`` products in a sum, and the bound's own
+    product, may round up or down by half of 2^-1074."""
     assert type(out.bound) is float  # a NumPy scalar would warn where the bound overflows
     peak = np.abs(out.data).max(initial=0.0)
-    assert peak <= out.bound * (1.0 + 1e-12), (peak, out.bound)
+    subnormal_rounding = (terms + 1) / 2 * 2.0 ** -1074 if terms else 0.0  # 2^-1075 is 0.0
+    assert peak <= out.bound * (1.0 + 1e-12) + subnormal_rounding, (peak, out.bound)
 
 
 @PROPERTIES
@@ -214,7 +217,7 @@ def test_matmul_outputs_lie_within_their_bounds(k, n, bias, data):
             with pytest.raises(ShapeError, match="matmul: needs a non-empty inner axis"):
                 call(b)
         else:
-            assert_within_bound(call(b))
+            assert_within_bound(call(b), k)
             with pytest.raises(ShapeError, match="matmul: bias"):  # a bias may not enlarge the product
                 call(data.draw(operands((2, 2, 3, 3, n))))
 
@@ -224,7 +227,19 @@ def test_matmul_outputs_lie_within_their_bounds(k, n, bias, data):
 def test_temporal_conv_outputs_lie_within_their_bounds(frames, kernel, groups, stride, data):
     x = data.draw(operands((2, frames, 3, 2 * groups)))
     weight = data.draw(operands((2 * groups, 2, kernel)))
-    assert_within_bound(eg.temporal_conv(x, weight, groups, stride))
+    assert_within_bound(eg.temporal_conv(x, weight, groups, stride), kernel * 2)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: eg.temporal_conv(Tensor(np.full((2, 1, 3, 2), 8.716638489288125e-161)),
+                             Tensor(np.full((2, 2, 1), 1.3022701777491795e-157)), 1, 1),
+    lambda: eg.matmul(Tensor(np.full((3, 2), 7.169877860326252e-161)),
+                      Tensor(np.full((2, 2), 6.854133486410346e-157)))], ids=["temporal_conv", "matmul"])
+def test_a_subnormal_sum_of_two_terms_lies_within_its_bound_up_to_absolute_rounding(call):
+    # each reads one subnormal step, 2^-1074, past its bound
+    out = call()
+    assert np.abs(out.data).max() == out.bound + 2.0 ** -1074
+    assert_within_bound(out, 2)
 
 
 @PROPERTIES

@@ -164,6 +164,18 @@ def test_train_rejects_mixed_joint_or_channel_counts():
             train.train(model, ds, train.TrainConfig(epochs=1))
 
 
+@pytest.mark.parametrize("stream", ["fusion", "Bone", ""])
+def test_train_and_scores_refuse_a_stream_other_than_joint_or_bone(stream):
+    model, ds = layers.DDGCNModel(tiny_config(), seed=0), tiny_dataset()
+    before = [p.data.copy() for p in model.parameters()]
+    message = f"stream must be 'joint' or 'bone', got {stream!r}"
+    with pytest.raises(ConfigError, match=message):
+        train.train(model, ds, train.TrainConfig(epochs=1), stream=stream)
+    with pytest.raises(ConfigError, match=message):
+        train.scores(model, ds, stream)
+    assert all(np.array_equal(p.data, b) for p, b in zip(model.parameters(), before))
+
+
 def test_initial_loss_is_log_num_classes():
     ds = tiny_dataset(num_classes=4)
     model = layers.DDGCNModel(tiny_config(num_classes=4), seed=0)
@@ -409,9 +421,10 @@ def test_evaluation_scores_in_training_micro_batches_as_per_clip_scoring_does(mo
     fused = train.evaluate_fused(joint, bone, dataset)
     monkeypatch.undo()
     slices = -(-count // train.micro_batch_size(16, 5))
-    assert [model for model, _ in calls] == [joint] * slices + [joint, bone] * slices
+    assert [model for model, _ in calls] == [joint] * 2 * slices + [bone] * slices
     npt.assert_array_equal(np.concatenate([x for _, x in calls[:slices]]), frames)
-    npt.assert_array_equal(np.concatenate([x for _, x in calls[slices + 1::2]]), layers.bone_transform(frames, TOY5))
+    npt.assert_array_equal(np.concatenate([x for _, x in calls[slices:2 * slices]]), frames)
+    npt.assert_array_equal(np.concatenate([x for _, x in calls[2 * slices:]]), layers.bone_transform(frames, TOY5))
     for model, x in calls:
         stacked = model.predict_proba(x)
         assert stacked.shape == (len(x), 4)
@@ -420,7 +433,7 @@ def test_evaluation_scores_in_training_micro_batches_as_per_clip_scoring_does(mo
     p_bone = np.stack([bone.predict_proba(clip) for clip in layers.bone_transform(frames, TOY5)])
     assert accuracy == (p_joint.argmax(axis=1) == labels).sum() / count
     assert fused == (layers.fuse_scores(p_joint, p_bone).argmax(axis=1) == labels).sum() / count
-    scores = train.scores(joint.predict_proba, dataset)
+    scores = train.scores(joint, dataset)
     assert scores.shape == (count, 4)
     assert eg.relative_error(scores, p_joint) <= 1e-12
     assert train.accuracy(scores, dataset) == accuracy
